@@ -1,33 +1,35 @@
 //! The elasticity tier: fleet runs under SLO-driven autoscaling, admission
 //! control and load shedding.
 //!
-//! [`FleetEngine::run_elastic`] generalises the reliability tier's
-//! boundary-ordered era execution: boundaries are now the union of the
-//! failure schedule's crash instants and the autoscaler's control instants
-//! (every `control_interval_s` on the sim clock, while arrivals remain).
-//! Between boundaries the frontend routes arrivals and retries exactly as
-//! [`FleetEngine::run_reliable`] does; at each boundary the fleet may
+//! [`FleetEngine::run_elastic`] adds control instants to the fleet's one
+//! loop over live replicas (see [`crate::fleet`]): every
+//! `control_interval_s` on the sim clock, while arrivals remain, next to
+//! the failure schedule's crash instants. Between instants the frontend
+//! routes arrivals and retries into live replicas exactly as
+//! [`FleetEngine::run_reliable`] does; at each instant the fleet may
 //! change shape:
 //!
-//! * **Crash** boundaries behave as in the reliability tier — the crashed
-//!   replica runs its segment capped at the boundary, casualties retry or
-//!   fail terminally under the [`RetryPolicy`].
-//! * **Control** boundaries observe the closed window — per-replica
-//!   unresolved backlog and the SLO attainment of the window's completions
-//!   — and hand the signals to the [`Autoscaler`]. Scale-**up** activates
-//!   the lowest-id cold (or previously retired) replicas, which become
-//!   routable only after the provisioning delay, with an empty KV pool and
-//!   a cold prefix cache. Scale-**down** *drains*: the victim leaves the
-//!   routable set immediately (the router is told via
-//!   `on_replica_removed`, so durable affinity pins are dropped), finishes
-//!   every request already routed to it, and retires when the last one
+//! * **Crash** instants behave as in the reliability tier — the crashed
+//!   replica advances through the instant and its unresolved requests
+//!   retry or fail terminally under the [`RetryPolicy`].
+//! * **Control** instants observe the closed window — per-replica
+//!   unresolved backlog and the SLO attainment of the window's completions,
+//!   read off the routable replicas' live sims — and hand the signals to
+//!   the [`Autoscaler`](loong_sched::elastic::Autoscaler). Scale-**up** activates the lowest-id cold (or
+//!   previously retired) replicas, which become routable only after the
+//!   provisioning delay, with an empty KV pool and a cold prefix cache.
+//!   Scale-**down** *drains*: the victim leaves the routable set
+//!   immediately (the router is told via `on_replica_removed`, so durable
+//!   affinity pins are dropped), runs everything already routed to it to
+//!   completion at the decision instant, and retires when the last request
 //!   completes. **No request is ever killed by a scale event.**
 //!
-//! A crash that strikes a replica *mid-drain* interrupts the drain: the
+//! A crash that strikes a replica *mid-drain* stops the drain there: the
 //! victim retires at the crash instant and whatever it had not finished
 //! becomes ordinary crash casualties, resolved by the retry policy.
 //!
-//! The [`AdmissionController`] (when armed) guards original arrivals at
+//! The [`AdmissionController`](loong_sched::elastic::AdmissionController)
+//! (when armed) guards original arrivals at
 //! the frontend: while the fleet saturates, best-effort traffic is shed
 //! outright and any class whose estimated queueing delay exceeds its
 //! deadline is rejected early, behind a hysteresis band so shedding cannot
@@ -38,11 +40,12 @@
 //!
 //! An autoscaler that never fires ([`AutoscalerConfig::fixed`]) plus an
 //! admission controller that never sheds ([`AdmissionConfig::never_sheds`])
-//! still run every control boundary — observation runs happen, decisions
-//! are taken — but none of it can perturb routing or accounting, so the
-//! run reproduces the static fleet **bit for bit** on the pinned golden
+//! still run every control instant — replicas are observed, decisions are
+//! taken — but an observation only reads live state, so the run
+//! reproduces the static fleet **bit for bit** on the pinned golden
 //! digests (`tests/elasticity_properties.rs` pins this against
-//! `tests/fleet_equivalence.rs`).
+//! `tests/fleet_equivalence.rs`), executing exactly its scheduling points
+//! (`tests/replay_free_work.rs`).
 //!
 //! # Exactly-once accounting
 //!
@@ -52,33 +55,24 @@
 //! budget ran out), or the fleet's `unfinished` count. A drain moves
 //! nothing between ledgers — drained work completes; only a crash can.
 
-use crate::engine::RunOutcome;
-use crate::fleet::{
-    run_segment_traced, trace_seed, FleetEngine, FleetFootprint, FleetOutcome, ReplicaOutcome,
-};
-use crate::reliability::{merge_segments, FailedRequest};
-use loong_metrics::cache::CacheStats;
+use crate::fleet::{FleetEngine, FleetFootprint, FleetLoop, FleetOutcome, FleetPolicies, Life};
+use crate::reliability::FailedRequest;
 use loong_metrics::elasticity::ElasticityStats;
 use loong_metrics::fleet::FleetSummary;
-use loong_metrics::pressure::PressureStats;
 use loong_metrics::record::RequestRecord;
 use loong_metrics::reliability::{availability_windows, ReliabilityStats, SlaWindow};
 use loong_metrics::slo::SloSpec;
 use loong_sched::elastic::{
-    AdmissionConfig, AdmissionController, AdmissionDecision, Autoscaler, AutoscalerConfig,
-    FleetSignals, ScaleDecision, ShedReason,
+    AdmissionConfig, AdmissionDecision, AutoscalerConfig, FleetSignals, ScaleDecision, ShedReason,
 };
-use loong_sched::reliability::{healthy_candidates, RetryPolicy};
-use loong_sched::router::{FleetLoadTracker, RouteRequest};
+use loong_sched::reliability::RetryPolicy;
 use loong_simcore::ids::{ReplicaId, RequestId};
-use loong_simcore::pool::run_indexed;
 use loong_simcore::time::{SimDuration, SimTime};
 use loong_trace::TraceRecorder;
 use loong_workload::failure::FailureSchedule;
 use loong_workload::request::{Request, TrafficClass};
 use loong_workload::stream::TraceStream;
 use loong_workload::trace::Trace;
-use std::collections::{BTreeMap, BTreeSet};
 
 /// Configuration of an elastic fleet run.
 ///
@@ -298,165 +292,6 @@ pub fn class_slo(base: &SloSpec, class: TrafficClass) -> SloSpec {
     }
 }
 
-/// Lifecycle of one fleet slot.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Life {
-    /// Provisioned but never activated: no capacity cost, not routable.
-    Cold,
-    /// Active. Routable from `since` (activation instant, or the end of
-    /// the provisioning delay for a scale-up).
-    Active { since: SimTime },
-    /// Drained and retired at `at`; re-activatable by a later scale-up.
-    Retired { at: SimTime },
-}
-
-/// Mutable state of one elastic run, threaded through the era loop.
-struct ElasticRun<'a> {
-    cfg: &'a ElasticConfig,
-    n: usize,
-    life: Vec<Life>,
-    tracker: FleetLoadTracker,
-    admission: Option<AdmissionController>,
-    buckets: Vec<Vec<Request>>,
-    segments: Vec<Vec<RunOutcome>>,
-    assignments: Vec<(RequestId, ReplicaId)>,
-    route_instants: Vec<SimTime>,
-    assigned: Vec<usize>,
-    pending: BTreeMap<(SimTime, RequestId), (Request, u32)>,
-    retries_used: BTreeMap<RequestId, u32>,
-    casualty_ids: BTreeSet<RequestId>,
-    failed: Vec<FailedRequest>,
-    shed: Vec<ShedRequest>,
-    stats: ReliabilityStats,
-    elastic: ElasticityStats,
-    scale_events: Vec<FleetScaleEvent>,
-    /// Originals pulled from the source so far.
-    streamed: usize,
-    /// Requests currently resident in the frontend: bucket entries not yet
-    /// handed to an engine, plus retries awaiting their backoff.
-    resident: usize,
-    /// High-water mark of `resident` — the streamed paths' memory claim.
-    peak_resident: usize,
-    /// Fleet-wide unresolved backlog measured at the last control
-    /// boundary; the admission controller's saturation baseline.
-    last_observed_backlog: u64,
-    /// Worst-case tokens routed since that observation — the running
-    /// correction that lets admission react *between* boundaries.
-    routed_since_observation: u64,
-    /// Accumulated active span per replica (activation to retirement), in
-    /// sim-seconds; still-active spans are closed at the makespan.
-    active_spans_s: Vec<f64>,
-}
-
-impl ElasticRun<'_> {
-    fn grow_resident(&mut self) {
-        self.resident += 1;
-        self.peak_resident = self.peak_resident.max(self.resident);
-    }
-
-    /// Replicas in the `Active` state (routable or provisioning).
-    fn active_count(&self) -> usize {
-        self.life
-            .iter()
-            .filter(|l| matches!(l, Life::Active { .. }))
-            .count()
-    }
-
-    /// Replicas routable at `t`: active, past their provisioning delay.
-    fn ready_count(&self, t: SimTime) -> usize {
-        self.life
-            .iter()
-            .filter(|l| matches!(l, Life::Active { since } if *since <= t))
-            .count()
-    }
-
-    /// The frontend's admission decision for one original arrival, `None`
-    /// when the controller is unarmed.
-    fn admission_decision(&mut self, req: &Request) -> Option<AdmissionDecision> {
-        let ready = self.ready_count(req.arrival);
-        let backlog = self
-            .last_observed_backlog
-            .saturating_add(self.routed_since_observation);
-        self.admission
-            .as_mut()
-            .map(|adm| adm.admit(req.class, backlog, ready))
-    }
-
-    /// Records one shed request in the ledger and the class counters.
-    fn record_shed(&mut self, req: &Request, reason: ShedReason) {
-        match req.class {
-            TrafficClass::Interactive => self.elastic.shed_interactive += 1,
-            TrafficClass::Standard => self.elastic.shed_standard += 1,
-            TrafficClass::BestEffort => self.elastic.shed_best_effort += 1,
-        }
-        if reason == ShedReason::DeadlineExceeded {
-            self.elastic.deadline_rejections += 1;
-        }
-        self.shed.push(ShedRequest {
-            id: req.id,
-            at: req.arrival,
-            class: req.class,
-            reason,
-        });
-    }
-
-    /// Resolves the unfinished requests of a crashed (or crash-interrupted
-    /// draining) replica's segment: each becomes a retry or a terminal
-    /// failure under the retry policy, exactly as the reliability tier.
-    fn settle_casualties(
-        &mut self,
-        bucket: &[Request],
-        resolved: &BTreeSet<RequestId>,
-        replica: ReplicaId,
-        at: SimTime,
-        mut rec: Option<&mut TraceRecorder>,
-    ) {
-        let mut casualties: Vec<&Request> = bucket
-            .iter()
-            .filter(|req| !resolved.contains(&req.id))
-            .collect();
-        casualties.sort_by_key(|req| req.id);
-        for req in casualties {
-            self.stats.failed_attempts += 1;
-            self.casualty_ids.insert(req.id);
-            if let Some(r) = rec.as_deref_mut() {
-                r.casualty(at, req.id);
-            }
-            let used = self.retries_used.get(&req.id).copied().unwrap_or(0);
-            if self.cfg.retry.allows(used) {
-                let attempt = used + 1;
-                self.retries_used.insert(req.id, attempt);
-                let mut retry = req.clone();
-                retry.arrival = at + self.cfg.retry.backoff(attempt);
-                self.stats.retries_scheduled += 1;
-                self.stats.re_prefilled_tokens += retry.input_len;
-                if let Some(r) = rec.as_deref_mut() {
-                    r.retry_scheduled(at, req.id, attempt, retry.arrival);
-                }
-                self.pending
-                    .insert((retry.arrival, retry.id), (retry, attempt));
-                self.grow_resident();
-            } else {
-                self.stats.retries_exhausted += 1;
-                let reason = format!(
-                    "{replica} crashed at {at} with no retry budget left \
-                     ({used} of {} used)",
-                    self.cfg.retry.max_retries
-                );
-                if let Some(r) = rec.as_deref_mut() {
-                    r.request_failed(at, req.id, &reason);
-                }
-                self.failed.push(FailedRequest {
-                    id: req.id,
-                    at,
-                    replica,
-                    reason,
-                });
-            }
-        }
-    }
-}
-
 impl FleetEngine {
     /// Runs the fleet over a trace under elastic autoscaling, admission
     /// control and (optionally) failure injection. See the module docs for
@@ -469,7 +304,7 @@ impl FleetEngine {
     /// configuration is invalid, or the failure schedule strikes a replica
     /// outside the fleet.
     pub fn run_elastic(&mut self, trace: &Trace, cfg: &ElasticConfig) -> ElasticFleetOutcome {
-        self.run_elastic_source(&trace.label, trace.requests.iter().cloned(), cfg, None)
+        self.run_elastic_source(trace.requests.iter().cloned(), cfg, None)
             .0
     }
 
@@ -477,36 +312,29 @@ impl FleetEngine {
     /// request lifecycle spans across scale events, crash casualties and
     /// retries; scale-up/scale-down/shed instants; and per-replica
     /// timeseries. Identical decision-for-decision to
-    /// [`FleetEngine::run_elastic`] — observation probes stay untraced, so
-    /// the recorder sees each decision-bearing segment exactly once.
+    /// [`FleetEngine::run_elastic`] — each replica's recording is absorbed
+    /// when its segment ends (at a crash, a drain, or the end of the run),
+    /// so the recorder sees every iteration exactly once.
     pub fn run_elastic_traced(
         &mut self,
         trace: &Trace,
         cfg: &ElasticConfig,
         recorder: &mut TraceRecorder,
     ) -> ElasticFleetOutcome {
-        let (outcome, _) = self.run_elastic_source(
-            &trace.label,
-            trace.requests.iter().cloned(),
-            cfg,
-            Some(recorder),
-        );
-        recorder.finalize(outcome.fleet.sim_time);
-        outcome
+        self.run_elastic_source(trace.requests.iter().cloned(), cfg, Some(recorder))
+            .0
     }
 
     /// Runs the elastic fleet over a lazy request stream. Identical
     /// decision-for-decision to [`FleetEngine::run_elastic`] on the
-    /// collected stream; the frontend holds only routed-not-yet-executed
-    /// requests plus pending retries, measured by the returned
-    /// [`FleetFootprint`].
+    /// collected stream; the frontend holds only pending retries plus what
+    /// live replicas hold, measured by the returned [`FleetFootprint`].
     pub fn run_elastic_stream(
         &mut self,
         stream: TraceStream,
         cfg: &ElasticConfig,
     ) -> (ElasticFleetOutcome, FleetFootprint) {
-        let label = stream.label().to_string();
-        self.run_elastic_source(&label, stream, cfg, None)
+        self.run_elastic_source(stream, cfg, None)
     }
 
     /// Streamed elastic run observed by `recorder` — the streamed
@@ -517,22 +345,15 @@ impl FleetEngine {
         cfg: &ElasticConfig,
         recorder: &mut TraceRecorder,
     ) -> (ElasticFleetOutcome, FleetFootprint) {
-        let label = stream.label().to_string();
-        let (outcome, footprint) = self.run_elastic_source(&label, stream, cfg, Some(recorder));
-        recorder.finalize(outcome.fleet.sim_time);
-        (outcome, footprint)
+        self.run_elastic_source(stream, cfg, Some(recorder))
     }
 
-    /// The shared implementation of the materialised and streamed elastic
-    /// runs.
-    fn run_elastic_source<I: Iterator<Item = Request>>(
+    fn run_elastic_source(
         &mut self,
-        label: &str,
-        source: I,
+        source: impl Iterator<Item = Request>,
         cfg: &ElasticConfig,
-        mut recorder: Option<&mut TraceRecorder>,
+        recorder: Option<&mut TraceRecorder>,
     ) -> (ElasticFleetOutcome, FleetFootprint) {
-        let mut source = source.peekable();
         let n = self.config.replicas;
         assert_eq!(
             n, cfg.autoscaler.max_replicas,
@@ -540,525 +361,167 @@ impl FleetEngine {
              ({} replicas), got {n}",
             cfg.autoscaler.max_replicas
         );
-        let mut autoscaler = Autoscaler::new(cfg.autoscaler);
         assert!(
             (cfg.autoscaler.min_replicas..=n).contains(&cfg.initial_replicas),
             "initial size {} outside the autoscaler bounds {}..={n}",
             cfg.initial_replicas,
             cfg.autoscaler.min_replicas
         );
-        if let Some(max) = cfg.schedule.max_replica() {
-            assert!(
-                max.index() < n,
-                "failure schedule strikes {max}, but the fleet has {n} replicas"
-            );
-        }
         assert!(cfg.sla_window_s > 0.0, "window must be positive");
-
-        // Fresh router and tracker per run, exactly as `route()` does.
-        self.router = self.config.policy.build();
-        let mut st = ElasticRun {
-            cfg,
-            n,
-            life: (0..n)
-                .map(|r| {
-                    if r < cfg.initial_replicas {
-                        Life::Active {
-                            since: SimTime::ZERO,
-                        }
-                    } else {
-                        Life::Cold
-                    }
-                })
-                .collect(),
-            tracker: FleetLoadTracker::new(n),
-            admission: cfg.admission.map(AdmissionController::new),
-            buckets: vec![Vec::new(); n],
-            segments: vec![Vec::new(); n],
-            assignments: Vec::new(),
-            route_instants: Vec::new(),
-            assigned: vec![0usize; n],
-            pending: BTreeMap::new(),
-            retries_used: BTreeMap::new(),
-            casualty_ids: BTreeSet::new(),
-            failed: Vec::new(),
-            shed: Vec::new(),
-            stats: ReliabilityStats {
-                crashes: cfg.schedule.events().len() as u64,
-                downtime_s: cfg.schedule.total_downtime().as_secs(),
-                ..ReliabilityStats::default()
-            },
-            elastic: ElasticityStats {
-                min_active_replicas: cfg.initial_replicas as u64,
-                max_active_replicas: cfg.initial_replicas as u64,
-                ..ElasticityStats::default()
-            },
-            scale_events: Vec::new(),
-            streamed: 0,
-            resident: 0,
-            peak_resident: 0,
-            last_observed_backlog: 0,
-            routed_since_observation: 0,
-            active_spans_s: vec![0.0; n],
+        let policies = FleetPolicies {
+            schedule: &cfg.schedule,
+            retry: cfg.retry,
+            breaker: None,
+            elastic: Some(cfg),
         };
-
-        // Boundary loop: crashes from the schedule, control instants every
-        // `control_interval_s` while arrivals (or pending retries) remain.
-        // Controllers that cannot possibly act skip control boundaries
-        // entirely — a pure-reliability run pays nothing for this tier.
-        let crash_times = cfg.schedule.crash_times();
-        let control_on = cfg.autoscaler.is_elastic() || cfg.admission.is_some();
-        let interval = cfg.autoscaler.control_interval_s;
-        let mut ci = 0usize;
-        let mut k = 1u64;
-        loop {
-            let more_work = source.peek().is_some() || !st.pending.is_empty();
-            let next_control =
-                (control_on && more_work).then(|| SimTime::from_secs(k as f64 * interval));
-            let next_crash = crash_times.get(ci).copied();
-            let b = match (next_crash, next_control) {
-                (None, None) => break,
-                (Some(c), None) => c,
-                (None, Some(t)) => t,
-                (Some(c), Some(t)) => c.min(t),
-            };
-            self.elastic_era(&mut source, Some(b), &mut st, recorder.as_deref_mut());
-            // At a shared instant crashes resolve first: the control
-            // observation then sees the post-crash fleet.
-            if next_crash == Some(b) {
-                self.crash_boundary(label, b, &mut st, recorder.as_deref_mut());
-                ci += 1;
-            }
-            if next_control == Some(b) {
-                self.control_boundary(label, b, &mut autoscaler, &mut st, recorder.as_deref_mut());
-                k += 1;
-            }
-        }
-
-        // Final era and final (uncapped) segment of every replica; retired
-        // and cold replicas run empty buckets, keeping the merge shape
-        // identical to the reliability tier.
-        self.elastic_era(&mut source, None, &mut st, recorder.as_deref_mut());
-        let system = self.config.replica_system();
-        let finals: Vec<Trace> = (0..n)
-            .map(|r| {
-                let bucket = std::mem::take(&mut st.buckets[r]);
-                st.resident -= bucket.len();
-                Trace::from_requests(format!("{label} · replica {r}/{n}"), bucket)
-            })
-            .collect();
-        let seed = trace_seed(&recorder);
-        let run_final = |sub: &Trace| run_segment_traced(&system, sub, &seed);
-        let final_results: Vec<(RunOutcome, Option<TraceRecorder>)> = if self.config.parallel {
-            run_indexed(finals.len(), |r| run_final(&finals[r]))
-        } else {
-            finals.iter().map(run_final).collect()
-        };
-        for (r, (segment, (outcome, child))) in
-            st.segments.iter_mut().zip(final_results).enumerate()
-        {
-            if let (Some(rec), Some(child)) = (recorder.as_deref_mut(), child) {
-                rec.merge_child(ReplicaId::from(r), child);
-            }
-            segment.push(outcome);
-        }
-
-        // Merge, mirroring the reliability tier: records and rejections in
-        // request-id order, counters summed in replica-id order.
-        let mut records: Vec<RequestRecord> = Vec::new();
-        let mut rejected: Vec<(RequestId, String)> = Vec::new();
-        let mut unfinished = 0usize;
-        let mut sim_time = SimTime::ZERO;
-        let mut iterations = 0u64;
-        let mut migration_bytes = 0.0f64;
-        let mut scheduler_calls = 0u64;
-        let mut pressure = PressureStats::default();
-        let mut cache = CacheStats::default();
-        let mut per_replica = Vec::with_capacity(n);
-        let segments = std::mem::take(&mut st.segments);
-        for (r, segs) in segments.into_iter().enumerate() {
-            let outcome = merge_segments(segs);
-            records.extend(outcome.records.iter().copied());
-            rejected.extend(outcome.rejected.iter().cloned());
-            unfinished += outcome.unfinished;
-            sim_time = sim_time.max(outcome.sim_time);
-            iterations += outcome.iterations;
-            migration_bytes += outcome.migration_bytes;
-            scheduler_calls += outcome.scheduler_calls;
-            pressure.merge(&outcome.pressure);
-            cache.merge(&outcome.cache);
-            per_replica.push(ReplicaOutcome {
-                replica: ReplicaId::from(r),
-                assigned: st.assigned[r],
-                outcome,
-            });
-        }
-        records.sort_by_key(|r| r.id);
-        rejected.sort_by_key(|r| r.0);
-        st.failed.sort_by_key(|f| f.id);
-        st.shed.sort_by_key(|s| s.id);
-
-        st.stats.recovered_requests = st
-            .casualty_ids
-            .iter()
-            .filter(|id| records.binary_search_by_key(*id, |r| r.id).is_ok())
-            .count() as u64;
-        let failure_instants: Vec<SimTime> = st.failed.iter().map(|f| f.at).collect();
-        let sla_windows = availability_windows(cfg.sla_window_s, &records, &failure_instants);
-
-        // Replica-seconds: every span from activation (routable) to
-        // retirement; replicas still active close their span at the fleet
-        // makespan. The denominator of SLO-goodput per replica-second.
-        for r in 0..n {
-            if let Life::Active { since } = st.life[r] {
-                st.active_spans_s[r] += sim_time.saturating_since(since).as_secs();
-            }
-        }
-        st.elastic.replica_seconds = st.active_spans_s.iter().sum();
-
+        let (fleet, run) = self.run_fleet(source, &policies, recorder);
+        let failure_instants: Vec<SimTime> = run.failed.iter().map(|f| f.at).collect();
+        let sla_windows = availability_windows(cfg.sla_window_s, &fleet.records, &failure_instants);
         (
             ElasticFleetOutcome {
-                fleet: FleetOutcome {
-                    per_replica,
-                    assignments: st.assignments,
-                    records,
-                    rejected,
-                    unfinished,
-                    sim_time,
-                    iterations,
-                    migration_bytes,
-                    scheduler_calls,
-                    pressure,
-                    cache,
-                },
-                failed: st.failed,
-                shed: st.shed,
-                scale_events: st.scale_events,
-                route_instants: st.route_instants,
-                elasticity: st.elastic,
-                reliability: st.stats,
+                fleet,
+                failed: run.failed,
+                shed: run.shed,
+                scale_events: run.scale_events,
+                route_instants: run.route_instants,
+                elasticity: run.elasticity,
+                reliability: run.reliability,
                 sla_windows,
             },
-            FleetFootprint {
-                streamed_requests: st.streamed,
-                peak_resident_requests: st.peak_resident,
-            },
+            run.footprint,
         )
     }
+}
 
-    /// Routes every arrival — source requests (behind the admission
-    /// controller) and pending retries (which bypass it) interleaved by
-    /// (arrival, id) — strictly before `end` (all of them when `end` is
-    /// `None`). The source is pulled lazily: nothing beyond the era
-    /// boundary is ever materialised.
-    fn elastic_era<I: Iterator<Item = Request>>(
-        &mut self,
-        source: &mut std::iter::Peekable<I>,
-        end: Option<SimTime>,
-        st: &mut ElasticRun<'_>,
-        mut rec: Option<&mut TraceRecorder>,
-    ) {
-        let in_era = |t: SimTime| end.is_none_or(|e| t < e);
-        loop {
-            let original_key = source
-                .peek()
-                .map(|req| (req.arrival, req.id))
-                .filter(|&(at, _)| in_era(at));
-            let retry_key = st
-                .pending
-                .first_key_value()
-                .map(|(&key, _)| key)
-                .filter(|&(at, _)| in_era(at));
-            match (original_key, retry_key) {
-                (None, None) => break,
-                (Some(okey), retry) => {
-                    if let Some(key) = retry {
-                        if key < okey {
-                            let (retry_req, _) = st.pending.remove(&key).expect("key just seen");
-                            st.resident -= 1;
-                            self.elastic_route(retry_req, st);
-                            continue;
-                        }
-                    }
-                    let req = source.next().expect("peeked above");
-                    st.streamed += 1;
-                    if let Some(AdmissionDecision::Shed(reason)) = st.admission_decision(&req) {
-                        if let Some(r) = rec.as_deref_mut() {
-                            r.shed(req.arrival, req.id, req.class, &format!("{reason:?}"));
-                        }
-                        st.record_shed(&req, reason);
-                        continue;
-                    }
-                    self.elastic_route(req, st);
-                }
-                (None, Some(key)) => {
-                    let (retry_req, _) = st.pending.remove(&key).expect("key just seen");
-                    st.resident -= 1;
-                    self.elastic_route(retry_req, st);
-                }
-            }
-        }
-    }
-
-    /// Routes one attempt at its arrival instant over the candidates that
-    /// are active, past provisioning and up per the failure schedule,
-    /// falling back to wait-for-earliest-routable when none qualifies.
-    fn elastic_route(&mut self, req: Request, st: &mut ElasticRun<'_>) {
-        let n = st.n;
-        let t = req.arrival;
-        let candidates = healthy_candidates(n, |r| {
-            !matches!(st.life[r.index()], Life::Active { since } if since <= t)
-                || st.cfg.schedule.is_down(r, t)
-        });
-        let route_req = RouteRequest {
-            id: req.id,
-            arrival: t,
-            input_len: req.input_len,
-            max_output_len: req.max_output_len,
-            conversation: req.conversation,
-        };
-        let (replica, start) = if candidates.is_empty() {
-            // Whole fleet unroutable at t: the frontend holds the request
-            // for the active replica that becomes routable earliest —
-            // provisioning delay and schedule recovery both count — ties
-            // to the lowest id.
-            let mut best: Option<(SimTime, usize)> = None;
-            for r in 0..n {
-                if let Life::Active { since } = st.life[r] {
-                    let ready = st.cfg.schedule.next_up(ReplicaId::from(r), t.max(since));
-                    if best.is_none_or(|(earliest, _)| ready < earliest) {
-                        best = Some((ready, r));
-                    }
-                }
-            }
-            let (ready, r) = best.expect("the autoscaler keeps at least min_replicas active");
-            (ReplicaId::from(r), ready.max(t))
-        } else {
-            (
-                self.router
-                    .route(&route_req, st.tracker.loads(), &candidates),
-                t,
-            )
-        };
-        assert!(
-            replica.index() < n,
-            "router returned out-of-range {replica}"
-        );
-        st.tracker.on_assign(replica, &route_req);
-        st.routed_since_observation = st
-            .routed_since_observation
-            .saturating_add(req.input_len + req.max_output_len);
-        let mut placed = req;
-        placed.arrival = start;
-        st.assignments.push((placed.id, replica));
-        st.route_instants.push(start);
-        st.assigned[replica.index()] += 1;
-        st.buckets[replica.index()].push(placed);
-        st.grow_resident();
-    }
-
-    /// Resolves every crash striking at `b`: the crashed replica runs its
-    /// segment capped at `b` and its unresolved requests become casualties
-    /// — identical to the reliability tier.
-    fn crash_boundary(
-        &mut self,
-        label: &str,
-        b: SimTime,
-        st: &mut ElasticRun<'_>,
-        mut rec: Option<&mut TraceRecorder>,
-    ) {
-        let n = st.n;
-        if let Some(r) = rec.as_deref_mut() {
-            for event in st.cfg.schedule.events().iter().filter(|e| e.crash == b) {
-                r.crash(b, event.replica);
-                r.recover(event.recover, event.replica);
-            }
-        }
-        // The capped engine runs are pure, so they go to the worker pool;
-        // casualty settlement replays serially in replica-id order (events
-        // are sorted by (crash, replica)). The sub-trace holds the routed
-        // bucket, so settlement scans it without a separate copy.
-        let crashing: Vec<(ReplicaId, Trace)> = st
-            .cfg
-            .schedule
-            .events()
+impl<I: Iterator<Item = Request>> FleetLoop<'_, I> {
+    /// Replicas in the `Active` state (routable or provisioning).
+    fn active_count(&self) -> usize {
+        self.life
             .iter()
-            .filter(|e| e.crash == b)
-            .filter_map(|event| {
-                let replica = event.replica;
-                let bucket = std::mem::take(&mut st.buckets[replica.index()]);
-                st.resident -= bucket.len();
-                // An empty bucket is a cold, retired, or simply idle
-                // replica — nothing for the crash to take.
-                (!bucket.is_empty()).then(|| {
-                    let sub = Trace::from_requests(
-                        format!("{label} · replica {replica}/{n} ∣ crash at {b}"),
-                        bucket,
-                    );
-                    (replica, sub)
-                })
-            })
-            .collect();
-        let system = self
-            .config
-            .replica_system()
-            .with_max_sim_time(SimDuration::from_secs(b.as_secs()));
-        let seed = trace_seed(&rec);
-        let run_segment = |sub: &Trace| run_segment_traced(&system, sub, &seed);
-        let results: Vec<(RunOutcome, Option<TraceRecorder>)> = if self.config.parallel {
-            run_indexed(crashing.len(), |i| run_segment(&crashing[i].1))
-        } else {
-            crashing.iter().map(|(_, sub)| run_segment(sub)).collect()
-        };
-        for ((replica, sub), (outcome, child)) in crashing.into_iter().zip(results) {
-            if let (Some(r), Some(child)) = (rec.as_deref_mut(), child) {
-                r.merge_child(replica, child);
-            }
-            let resolved: BTreeSet<RequestId> = outcome
-                .records
-                .iter()
-                .map(|r| r.id)
-                .chain(outcome.rejected.iter().map(|r| r.0))
-                .collect();
-            st.settle_casualties(&sub.requests, &resolved, replica, b, rec.as_deref_mut());
-            st.segments[replica.index()].push(outcome);
-        }
+            .filter(|l| matches!(l, Life::Active { .. }))
+            .count()
     }
 
-    /// One control boundary: observe the closed window, let the autoscaler
+    /// Replicas routable at `t`: active, past their provisioning delay.
+    fn ready(&self, t: SimTime) -> Vec<usize> {
+        (0..self.n)
+            .filter(|&r| matches!(self.life[r], Life::Active { since } if since <= t))
+            .collect()
+    }
+
+    /// The frontend's admission decision for one original arrival: `true`
+    /// admits it (always, when no controller is armed); `false` sheds it,
+    /// recording it in the ledger and the class counters.
+    pub(crate) fn admit(&mut self, req: &Request, rec: Option<&mut TraceRecorder>) -> bool {
+        if self.admission.is_none() {
+            return true;
+        }
+        let ready = self.ready(req.arrival).len();
+        let backlog = self
+            .last_observed_backlog
+            .saturating_add(self.routed_since_observation);
+        let adm = self.admission.as_mut().expect("armed above");
+        let AdmissionDecision::Shed(reason) = adm.admit(req.class, backlog, ready) else {
+            return true;
+        };
+        if let Some(r) = rec {
+            r.shed(req.arrival, req.id, req.class, &format!("{reason:?}"));
+        }
+        match req.class {
+            TrafficClass::Interactive => self.out.elasticity.shed_interactive += 1,
+            TrafficClass::Standard => self.out.elasticity.shed_standard += 1,
+            TrafficClass::BestEffort => self.out.elasticity.shed_best_effort += 1,
+        }
+        if reason == ShedReason::DeadlineExceeded {
+            self.out.elasticity.deadline_rejections += 1;
+        }
+        self.out.shed.push(ShedRequest {
+            id: req.id,
+            at: req.arrival,
+            class: req.class,
+            reason,
+        });
+        false
+    }
+
+    /// One control instant: observe the closed window, let the autoscaler
     /// decide, apply the decision.
-    fn control_boundary(
+    pub(crate) fn control_boundary(
         &mut self,
-        label: &str,
         b: SimTime,
-        autoscaler: &mut Autoscaler,
-        st: &mut ElasticRun<'_>,
+        cfg: &ElasticConfig,
         rec: Option<&mut TraceRecorder>,
     ) {
-        // Observation probes are replayed and discarded — they never reach
-        // the recorder, so a traced run sees each decision-bearing segment
-        // exactly once.
-        let (signals, backlogs) = self.observe(label, b, st);
-        st.last_observed_backlog = signals.backlog_tokens;
-        st.routed_since_observation = 0;
+        let (signals, backlogs) = self.observe(b, cfg);
+        self.last_observed_backlog = signals.backlog_tokens;
+        self.routed_since_observation = 0;
+        let autoscaler = self
+            .autoscaler
+            .as_mut()
+            .expect("elastic runs have an autoscaler");
         match autoscaler.decide(b.as_secs(), &signals) {
             ScaleDecision::Hold => {}
-            ScaleDecision::Up(count) => self.scale_up(b, count, st, rec),
-            ScaleDecision::Down(count) => self.scale_down(label, b, count, &backlogs, st, rec),
+            ScaleDecision::Up(count) => self.scale_up(b, count, cfg, rec),
+            ScaleDecision::Down(count) => self.scale_down(b, count, &backlogs, rec),
         }
-        let active = st.active_count() as u64;
-        st.elastic.min_active_replicas = st.elastic.min_active_replicas.min(active);
-        st.elastic.max_active_replicas = st.elastic.max_active_replicas.max(active);
+        let active = self.active_count() as u64;
+        self.out.elasticity.min_active_replicas =
+            self.out.elasticity.min_active_replicas.min(active);
+        self.out.elasticity.max_active_replicas =
+            self.out.elasticity.max_active_replicas.max(active);
     }
 
     /// Measures the window that closes at `b`: per-replica unresolved
     /// backlog (worst-case tokens) and the SLO attainment of completions
-    /// inside the window. Observation runs replay each ready replica's
-    /// bucket capped at `b` and are then discarded — they never touch the
-    /// accounting, which is what keeps an armed-but-idle controller
-    /// bit-for-bit. Each bucket is *moved* into its probe sub-trace and
-    /// moved back afterwards: `from_requests`' stable arrival sort is
-    /// idempotent under the later segment sorts, so the round-trip cannot
-    /// perturb any subsequent segment — and the observation needs no copy
-    /// of the bucket.
-    fn observe(
-        &self,
-        label: &str,
-        b: SimTime,
-        st: &mut ElasticRun<'_>,
-    ) -> (FleetSignals, Vec<u64>) {
-        let n = st.n;
-        let window_start = b.as_secs() - st.cfg.autoscaler.control_interval_s;
-        let mut backlogs = vec![0u64; n];
+    /// inside the window. The routable replicas advance to just before
+    /// `b` — arrivals routed at `b` must still join their `b` batch — and
+    /// each one's live sim reports its window, completions due at exactly
+    /// `b` included. Nothing is replayed and nothing is discarded.
+    fn observe(&mut self, b: SimTime, cfg: &ElasticConfig) -> (FleetSignals, Vec<u64>) {
+        let window_start = b.as_secs() - cfg.autoscaler.control_interval_s;
+        let ready = self.ready(b);
+        self.advance_each(&ready, |sim, sink| sim.advance_until(b, sink));
+        let mut backlogs = vec![0u64; self.n];
         let mut window_records: Vec<RequestRecord> = Vec::new();
-        let mut ready = 0usize;
-        let mut probes: Vec<(usize, Trace)> = Vec::new();
-        for r in 0..n {
-            let Life::Active { since } = st.life[r] else {
-                continue;
-            };
-            if since > b {
-                continue;
+        for &r in &ready {
+            if let Some(sim) = self.live_sim(r) {
+                backlogs[r] = sim.observe(b, window_start, &mut window_records);
             }
-            ready += 1;
-            if st.buckets[r].is_empty() {
-                continue;
-            }
-            let bucket = std::mem::take(&mut st.buckets[r]);
-            probes.push((
-                r,
-                Trace::from_requests(
-                    format!("{label} · replica {r}/{n} ∣ observe at {b}"),
-                    bucket,
-                ),
-            ));
-        }
-        let system = self
-            .config
-            .replica_system()
-            .with_max_sim_time(SimDuration::from_secs(b.as_secs()));
-        let run_probe = |sub: &Trace| system.build_engine(Some(sub)).run(sub);
-        let outcomes: Vec<RunOutcome> = if self.config.parallel {
-            run_indexed(probes.len(), |i| run_probe(&probes[i].1))
-        } else {
-            probes.iter().map(|(_, sub)| run_probe(sub)).collect()
-        };
-        for ((r, sub), outcome) in probes.into_iter().zip(outcomes) {
-            let resolved: BTreeSet<RequestId> = outcome
-                .records
-                .iter()
-                .map(|rec| rec.id)
-                .chain(outcome.rejected.iter().map(|rej| rej.0))
-                .collect();
-            backlogs[r] = sub
-                .requests
-                .iter()
-                .filter(|q| !resolved.contains(&q.id))
-                .map(|q| q.input_len + q.max_output_len)
-                .sum();
-            window_records.extend(
-                outcome
-                    .records
-                    .iter()
-                    .filter(|rec| rec.finish <= b && rec.finish.as_secs() > window_start)
-                    .copied(),
-            );
-            st.buckets[r] = sub.requests;
         }
         let signals = FleetSignals {
-            attainment: st.cfg.signal_slo.attainment(&window_records),
+            attainment: cfg.signal_slo.attainment(&window_records),
             backlog_tokens: backlogs.iter().sum(),
-            active_replicas: ready,
+            active_replicas: ready.len(),
         };
         (signals, backlogs)
     }
 
     /// Activates up to `want` cold or retired replicas (lowest id first).
     /// Each becomes routable after the provisioning delay, with an empty
-    /// KV pool and a cold prefix cache (its engine is built fresh for the
-    /// next segment, so this falls out of the execution model).
+    /// KV pool and a cold prefix cache (its slot restarted empty at its
+    /// last crash or drain, so this falls out of the execution model).
     fn scale_up(
         &mut self,
         b: SimTime,
         want: usize,
-        st: &mut ElasticRun<'_>,
+        cfg: &ElasticConfig,
         mut rec: Option<&mut TraceRecorder>,
     ) {
-        let ready_at = b + SimDuration::from_secs(st.cfg.autoscaler.provisioning_delay_s);
+        let ready_at = b + SimDuration::from_secs(cfg.autoscaler.provisioning_delay_s);
         let mut activated = 0usize;
-        for r in 0..st.n {
+        for r in 0..self.n {
             if activated == want {
                 break;
             }
-            if matches!(st.life[r], Life::Cold | Life::Retired { .. }) {
-                st.life[r] = Life::Active { since: ready_at };
-                st.elastic.provisioning_s += st.cfg.autoscaler.provisioning_delay_s;
+            if matches!(self.life[r], Life::Cold | Life::Retired { .. }) {
+                self.life[r] = Life::Active { since: ready_at };
+                self.out.elasticity.provisioning_s += cfg.autoscaler.provisioning_delay_s;
                 activated += 1;
                 if let Some(recorder) = rec.as_deref_mut() {
                     recorder.replica_activated(b, ReplicaId::from(r), ready_at);
                 }
-                let active_after = st.active_count();
-                st.scale_events.push(FleetScaleEvent {
+                let active_after = self.active_count();
+                self.out.scale_events.push(FleetScaleEvent {
                     at: b,
                     kind: FleetScaleKind::Activated {
                         replica: ReplicaId::from(r),
@@ -1069,29 +532,28 @@ impl FleetEngine {
             }
         }
         if activated > 0 {
-            st.elastic.scale_up_events += 1;
+            self.out.elasticity.scale_up_events += 1;
         }
     }
 
     /// Drains and retires up to `want` ready replicas. Victims are the
     /// ready actives with the smallest observed backlog (ties to the
     /// highest id — retire the newest). Each victim leaves the routable
-    /// set at `b`, finishes everything already routed to it, and retires
-    /// when its last request completes — unless a scheduled crash strikes
-    /// it mid-drain, in which case it retires at the crash and the
-    /// remainder becomes crash casualties.
-    #[allow(clippy::too_many_arguments)]
+    /// set at `b` and runs everything already routed to it to completion
+    /// right away, retiring when its last request completes — unless a
+    /// scheduled crash strikes it first, in which case the drain stops at
+    /// the crash, the victim retires there, and the remainder becomes
+    /// crash casualties.
     fn scale_down(
         &mut self,
-        label: &str,
         b: SimTime,
         want: usize,
         backlogs: &[u64],
-        st: &mut ElasticRun<'_>,
         mut rec: Option<&mut TraceRecorder>,
     ) {
-        let mut ready: Vec<(u64, usize)> = (0..st.n)
-            .filter(|&r| matches!(st.life[r], Life::Active { since } if since <= b))
+        let mut ready: Vec<(u64, usize)> = self
+            .ready(b)
+            .into_iter()
             .map(|r| (backlogs[r], r))
             .collect();
         ready.sort_by(|a, other| a.0.cmp(&other.0).then(other.1.cmp(&a.1)));
@@ -1099,90 +561,78 @@ impl FleetEngine {
         if victims.is_empty() {
             return;
         }
-        st.elastic.scale_down_events += 1;
+        self.out.elasticity.scale_down_events += 1;
         for r in victims {
             let replica = ReplicaId::from(r);
-            let Life::Active { since } = st.life[r] else {
+            let Life::Active { since } = self.life[r] else {
                 unreachable!("victims are selected among active replicas");
             };
             // Durably drop the router's state for the victim (affinity
             // pins must not resurrect on the retired replica).
             self.router.on_replica_removed(replica);
-            let bucket = std::mem::take(&mut st.buckets[r]);
-            st.resident -= bucket.len();
-            let mut drain_end = b;
-            if !bucket.is_empty() {
-                // The sub-trace owns the bucket; a mid-drain crash settles
-                // casualties off `sub.requests` directly.
-                let sub = Trace::from_requests(
-                    format!("{label} · replica {replica}/{} ∣ drain at {b}", st.n),
-                    bucket,
-                );
-                let seed = trace_seed(&rec);
-                let system = self.config.replica_system();
-                let (outcome, tap) = run_segment_traced(&system, &sub, &seed);
-                let finish = outcome.sim_time;
-                let mid_crash = st
-                    .cfg
-                    .schedule
-                    .events()
-                    .iter()
-                    .filter(|e| e.replica == replica && e.crash > b && e.crash < finish)
-                    .map(|e| e.crash)
-                    .min();
-                if let Some(c) = mid_crash {
-                    // The crash interrupts the drain: re-run capped at the
-                    // crash; the rest are casualties. The uncapped run (and
-                    // its recording tap) is discarded — only the capped
-                    // segment really happened. The crash boundary itself
-                    // finds an empty bucket later and skips.
-                    drop(tap);
-                    let capped_system = self
-                        .config
-                        .replica_system()
-                        .with_max_sim_time(SimDuration::from_secs(c.as_secs()));
-                    let (capped, capped_tap) = run_segment_traced(&capped_system, &sub, &seed);
-                    if let (Some(recorder), Some(child)) = (rec.as_deref_mut(), capped_tap) {
-                        recorder.merge_child(replica, child);
-                    }
-                    let resolved: BTreeSet<RequestId> = capped
-                        .records
-                        .iter()
-                        .map(|record| record.id)
-                        .chain(capped.rejected.iter().map(|rej| rej.0))
-                        .collect();
-                    st.settle_casualties(&sub.requests, &resolved, replica, c, rec.as_deref_mut());
-                    st.segments[r].push(capped);
-                    drain_end = c;
-                } else {
-                    if let (Some(recorder), Some(child)) = (rec.as_deref_mut(), tap) {
-                        recorder.merge_child(replica, child);
-                    }
-                    st.segments[r].push(outcome);
-                    drain_end = finish.max(b);
-                }
-            }
+            let drain_end = if self.live_sim(r).is_some() {
+                self.drain(r, b, rec.as_deref_mut())
+            } else {
+                b
+            };
             let drain_s = drain_end.saturating_since(b).as_secs();
             if let Some(recorder) = rec.as_deref_mut() {
                 recorder.replica_retired(drain_end, replica);
             }
-            st.life[r] = Life::Retired { at: drain_end };
-            st.active_spans_s[r] += drain_end.saturating_since(since).as_secs();
-            st.elastic.drains_completed += 1;
-            st.elastic.total_drain_s += drain_s;
-            if drain_s > st.elastic.max_drain_s {
-                st.elastic.max_drain_s = drain_s;
+            self.life[r] = Life::Retired { at: drain_end };
+            self.active_spans_s[r] += drain_end.saturating_since(since).as_secs();
+            self.out.elasticity.drains_completed += 1;
+            self.out.elasticity.total_drain_s += drain_s;
+            if drain_s > self.out.elasticity.max_drain_s {
+                self.out.elasticity.max_drain_s = drain_s;
             }
-            let active_after = st.active_count();
-            st.scale_events.push(FleetScaleEvent {
+            let active_after = self.active_count();
+            self.out.scale_events.push(FleetScaleEvent {
                 at: b,
                 kind: FleetScaleKind::Retired { replica, drain_s },
                 active_after,
             });
         }
     }
-}
 
+    /// Runs drain victim `r` to completion, or up to its next scheduled
+    /// crash after `b` if that comes first; returns the retirement
+    /// instant.
+    fn drain(&mut self, r: usize, b: SimTime, rec: Option<&mut TraceRecorder>) -> SimTime {
+        let replica = ReplicaId::from(r);
+        let crash = self
+            .policies
+            .schedule
+            .events()
+            .iter()
+            .filter(|e| e.replica == replica && e.crash > b)
+            .map(|e| e.crash)
+            .min();
+        let casualties = self
+            .advance_each(&[r], |sim, sink| match crash {
+                Some(c) => {
+                    sim.advance_through(c, sink);
+                    sim.next_event_time().map(|_| sim.crash(c, sink))
+                }
+                None => {
+                    sim.run_to_end(sink);
+                    None
+                }
+            })
+            .pop()
+            .expect("the victim is live")
+            .1;
+        let mut rec = rec;
+        let finish = self.end_segment(r, rec.as_deref_mut());
+        match (casualties, crash) {
+            (Some(casualties), Some(c)) => {
+                self.settle_casualties(casualties, replica, c, rec);
+                c
+            }
+            _ => finish.max(b),
+        }
+    }
+}
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1191,6 +641,7 @@ mod tests {
     use loong_sched::router::RouterPolicy;
     use loong_workload::datasets::DatasetKind;
     use loong_workload::failure::FailureEvent;
+    use std::collections::BTreeSet;
 
     fn small_trace(count: usize, seed: u64) -> Trace {
         crate::experiment::WorkloadSpec::Dataset(DatasetKind::ShareGpt).generate(8.0, count, seed)

@@ -32,8 +32,8 @@ use loong_model::sib::ScalingInfoBase;
 use loong_sched::types::{
     Action, DecodingRequest, PendingRequest, ScalingEvent, Scheduler, SwappedRequest, ViewScratch,
 };
-use loong_simcore::events::{Event, EventQueue};
-use loong_simcore::ids::{GroupId, IdAllocator, InstanceId, RequestId};
+use loong_simcore::events::EventQueue;
+use loong_simcore::ids::{ConversationId, GroupId, IdAllocator, InstanceId, RequestId};
 use loong_simcore::profile;
 use loong_simcore::rng::SimRng;
 use loong_simcore::table::{PhaseClass, RequestTable};
@@ -42,6 +42,7 @@ use loong_trace::{AdmitInfo, Gauges, NoopSink, SpanPhase, Terminal, TraceSink};
 use loong_workload::request::Request;
 use loong_workload::trace::Trace;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::DerefMut;
 
 /// Static configuration of a serving-engine run.
 #[derive(Debug, Clone)]
@@ -267,62 +268,6 @@ fn pending_entry(s: &RequestState, prefilled: u64, pool: &UnifiedKvPool) -> Pend
     }
 }
 
-/// Sets a request's phase and keeps the table's phase indices in sync.
-///
-/// Every phase write in the engine goes through here: the phase-index sets
-/// are the *only* source of the scheduler view's pending/decoding lists, so
-/// a direct `phase =` write that skipped the class update would silently
-/// desynchronise them (the debug-build view audit would catch it).
-///
-/// It is also the tracing chokepoint: each write emits the matching
-/// lifecycle event into the [`TraceSink`] *after* the decision is already
-/// made, so sinks observe every transition but can influence none. Engine
-/// phases map onto trace spans many-to-one — the per-iteration
-/// `DecodeReady`/`Decoding` cycle all maps to [`SpanPhase::Decode`] — and
-/// the emission is elided here whenever the span phase does not change:
-/// recorders would coalesce the repeat anyway, and the decode loop cycles
-/// phases every iteration, so skipping the no-op emission keeps the
-/// tracing overhead proportional to *span* transitions, not engine
-/// iterations. Terminal phases become [`Terminal`] events rather than
-/// spans and are always emitted.
-fn set_phase(
-    table: &mut RequestTable<RequestState>,
-    id: RequestId,
-    phase: Phase,
-    now: SimTime,
-    sink: &mut dyn TraceSink,
-) {
-    /// The span a non-terminal engine phase belongs to.
-    fn span_of(phase: &Phase) -> Option<SpanPhase> {
-        match phase {
-            Phase::Pending { .. } => Some(SpanPhase::Queued),
-            Phase::Prefilling => Some(SpanPhase::Prefill),
-            Phase::DecodeReady { .. } | Phase::Decoding { .. } => Some(SpanPhase::Decode),
-            Phase::Migrating { .. } => Some(SpanPhase::Migrate),
-            Phase::SwappingOut { .. } => Some(SpanPhase::SwapOut),
-            Phase::Swapped { .. } => Some(SpanPhase::SwappedOut),
-            Phase::SwappingIn { .. } => Some(SpanPhase::SwapIn),
-            Phase::Finished | Phase::Rejected => None,
-        }
-    }
-
-    match &phase {
-        Phase::Finished => sink.on_terminal(now, id, Terminal::Completed),
-        Phase::Rejected => sink.on_terminal(now, id, Terminal::Rejected),
-        other => {
-            let span = span_of(other).expect("non-terminal phase has a span");
-            let prev = table.get(id).and_then(|s| span_of(&s.phase));
-            if prev != Some(span) {
-                sink.on_phase(now, id, span);
-            }
-        }
-    }
-    let class = phase.class();
-    let state = table.get_mut(id).expect("known request");
-    state.phase = phase;
-    table.set_class(id, class);
-}
-
 /// Incrementally maintained idle/busy partition of the elastic instances.
 ///
 /// Replaces the per-point re-filtering of `all_ids()` against a
@@ -396,13 +341,6 @@ impl DecodeLatencyStats {
     }
 }
 
-/// Events driving the simulation.
-#[derive(Debug)]
-enum EngineEvent {
-    Arrival(RequestId),
-    WorkComplete(u64),
-}
-
 /// An iteration or migration in flight.
 #[derive(Debug)]
 enum Work {
@@ -437,7 +375,7 @@ enum Work {
 }
 
 /// The result of one engine run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RunOutcome {
     /// Completed requests with full lifecycle timestamps.
     pub records: Vec<RequestRecord>,
@@ -473,13 +411,33 @@ pub struct RunOutcome {
     pub prefilled_tokens: u64,
 }
 
-/// The serving engine.
-pub struct ServingEngine {
+impl RunOutcome {
+    /// Folds `later` into this outcome: records and rejections append,
+    /// counters sum, simulated time maximises. Merges a replica's segments
+    /// and a fleet's replicas alike.
+    pub(crate) fn absorb(&mut self, later: RunOutcome) {
+        self.records.extend(later.records);
+        self.rejected.extend(later.rejected);
+        self.unfinished += later.unfinished;
+        self.scaling_events.extend(later.scaling_events);
+        self.sim_time = self.sim_time.max(later.sim_time);
+        self.iterations += later.iterations;
+        self.migration_bytes += later.migration_bytes;
+        self.scheduler_calls += later.scheduler_calls;
+        self.pressure.merge(&later.pressure);
+        self.cache.merge(&later.cache);
+        self.prefilled_tokens += later.prefilled_tokens;
+    }
+}
+
+/// The serving engine. `S` is its scheduler's type: any [`Scheduler`] by
+/// default, a `Send` one for fleet replicas advancing on the worker pool.
+pub struct ServingEngine<S: ?Sized = dyn Scheduler> {
     config: EngineConfig,
     registry: InstanceRegistry,
     cost_model: CostModel,
     sib: ScalingInfoBase,
-    scheduler: Box<dyn Scheduler>,
+    scheduler: Box<S>,
 }
 
 impl ServingEngine {
@@ -489,6 +447,13 @@ impl ServingEngine {
     /// over the parallel configurations reachable with the configured
     /// tensor-parallel degree.
     pub fn new(config: EngineConfig, scheduler: Box<dyn Scheduler>) -> Self {
+        Self::with_scheduler(config, scheduler)
+    }
+}
+
+impl<S: Scheduler + ?Sized> ServingEngine<S> {
+    /// [`ServingEngine::new`] for any scheduler type.
+    pub(crate) fn with_scheduler(config: EngineConfig, scheduler: Box<S>) -> Self {
         config.cluster.validate().expect("valid cluster");
         config.model.validate().expect("valid model");
         let registry = InstanceRegistry::build(&config.cluster, config.tp);
@@ -536,1009 +501,1228 @@ impl ServingEngine {
     }
 
     /// Runs the engine over a trace, emitting every request lifecycle
-    /// edge, cache event and scheduling-point gauge into `sink`.
-    ///
-    /// The loop maintains every scheduler-view input incrementally — phase
-    /// index sets in the [`RequestTable`], the idle/busy instance
-    /// partition, the KV residency index, running latency stats — so one
-    /// scheduling point costs O(active requests + actions) instead of
-    /// O(all requests ever seen). Debug builds shadow every view with a
-    /// naive full-scan rebuild and assert equality.
+    /// edge, cache event and scheduling-point gauge into `sink`: every
+    /// request is injected into a [`ReplicaSim`], which then advances to
+    /// the end of the run.
     pub fn run_traced(&mut self, trace: &Trace, sink: &mut dyn TraceSink) -> RunOutcome {
-        let capacity = self
-            .config
+        let mut sim = ReplicaSim::with_capacity(self, trace.requests.len());
+        for req in &trace.requests {
+            sim.inject(req.clone());
+        }
+        sim.run_to_end(sink);
+        sim.finish()
+    }
+}
+
+/// A resumable simulation of one serving replica.
+///
+/// It owns everything a run keeps between scheduling points: the request
+/// table, the arrival and work-completion queues, the KV pool, the
+/// idle/busy instance partition, the in-flight work and the counters. The
+/// scheduler lives in the [`ServingEngine`] it drives, which the sim owns
+/// (a fleet replica) or borrows ([`ServingEngine::run`]).
+///
+/// Requests are [`inject`](ReplicaSim::inject)ed at any time before their
+/// arrival instant, and the sim advances only as far as it is asked to, so
+/// a fleet can route arrivals open-loop into live replicas and stop each
+/// one exactly where a crash or a control instant needs it. The events of
+/// one instant form one batch and one scheduling point: arrivals first, in
+/// injection order, then work completions, in dispatch order.
+///
+/// The loop maintains every scheduler-view input incrementally — phase
+/// index sets in the [`RequestTable`], the idle/busy instance partition,
+/// the KV residency index, running latency stats — so one scheduling point
+/// costs O(active requests + actions) instead of O(all requests ever
+/// seen). Debug builds shadow every view with a naive full-scan rebuild
+/// and assert equality.
+pub struct ReplicaSim<E> {
+    engine: E,
+    state: SimState,
+}
+
+/// The run state of a [`ReplicaSim`], apart from its engine.
+struct SimState {
+    pool: UnifiedKvPool,
+    cache_on: bool,
+    host_link: Option<LinkSpec>,
+    /// Whole-model KV footprint: a swapped token leaves every GPU shard.
+    kv_bytes_per_token: f64,
+    deadline: Option<SimTime>,
+    arrivals: EventQueue<RequestId>,
+    work: EventQueue<u64>,
+    /// The instant of the last batch processed (zero before the first).
+    now: SimTime,
+    /// True once the deadline stopped the run.
+    stopped: bool,
+    /// True once a crash turned every unresolved request into a casualty.
+    crashed: bool,
+    table: RequestTable<RequestState>,
+    instances_state: InstanceTracker,
+    in_flight: HashMap<u64, Work>,
+    work_ids: IdAllocator<RequestId>,
+    group_ids: IdAllocator<GroupId>,
+    /// Completed requests, in finish order.
+    finished: Vec<RequestId>,
+    /// Worst-case tokens (`input_len + max_output_len`) of the injected
+    /// requests neither completed nor rejected.
+    unresolved_tokens: u64,
+    /// First entry of `finished` not yet behind an observation window.
+    window_cursor: usize,
+    /// The counters and rejections of the run so far (its records,
+    /// unfinished count, scaling events and makespan are filled in by
+    /// [`ReplicaSim::finish`]).
+    out: RunOutcome,
+    decode_stats: DecodeLatencyStats,
+    // Reusable per-point buffers: the steady-state loop never allocates
+    // them again.
+    scratch: ViewScratch,
+    claimed: Vec<InstanceId>,
+    #[cfg(debug_assertions)]
+    audit: audit::ViewAudit,
+}
+
+impl<S: Scheduler + ?Sized, E: DerefMut<Target = ServingEngine<S>>> ReplicaSim<E> {
+    /// A sim with nothing injected, its clock at zero.
+    pub fn new(engine: E) -> Self {
+        Self::with_capacity(engine, 0)
+    }
+
+    /// [`ReplicaSim::new`] with room for `requests` injections.
+    pub fn with_capacity(engine: E, requests: usize) -> Self {
+        let config = &engine.config;
+        let capacity = config
             .kv_capacity_override
-            .unwrap_or_else(|| self.config.instance_kv_capacity());
-        let mut pool = UnifiedKvPool::new(self.registry.num_instances(), capacity);
-        if let Some(host) = &self.config.host_swap {
+            .unwrap_or_else(|| config.instance_kv_capacity());
+        let num_instances = engine.registry.num_instances();
+        let mut pool = UnifiedKvPool::new(num_instances, capacity);
+        if let Some(host) = &config.host_swap {
             pool.enable_host_tier(host.capacity_tokens);
         }
-        if let Some(prefix) = &self.config.prefix_cache {
+        if let Some(prefix) = &config.prefix_cache {
             pool.enable_prefix_cache(*prefix);
         }
-        let cache_on = pool.prefix_enabled();
-        let mut cache_stats = CacheStats::default();
-        let host_link = self.config.host_swap.as_ref().map(|h| h.link);
-        // Whole-model KV footprint: a swapped token leaves every GPU shard.
-        let kv_bytes_per_token = self.config.model.kv_bytes_per_token();
-        let mut pressure_stats = PressureStats::default();
-        let mut queue: EventQueue<EngineEvent> = EventQueue::new();
-        let mut table: RequestTable<RequestState> =
-            RequestTable::with_capacity(trace.requests.len());
-        for req in &trace.requests {
-            table.insert(
-                req.id,
-                RequestState {
-                    request: req.clone(),
-                    phase: Phase::Pending { prefilled: 0 },
-                    prefill_start: None,
-                    first_token: None,
-                    finish: None,
-                    preemptions: 0,
-                    resume_generated: 0,
-                    reused: 0,
-                    waiting: false,
-                },
-            );
-            queue.push(req.arrival, EngineEvent::Arrival(req.id));
-        }
-        let mut instances_state = InstanceTracker::new(self.registry.num_instances());
-        let mut in_flight: HashMap<u64, Work> = HashMap::new();
-        let mut work_ids = IdAllocator::<RequestId>::new();
-        let mut group_ids = IdAllocator::<GroupId>::new();
-        let mut rejected: Vec<(RequestId, String)> = Vec::new();
-        let mut iterations = 0u64;
-        let mut migration_bytes = 0.0f64;
-        let mut scheduler_calls = 0u64;
-        let mut prefilled_tokens = 0u64;
-        let mut decode_stats = DecodeLatencyStats::default();
-        // Reusable per-point buffers: the steady-state loop never allocates
-        // them again.
-        let mut scratch = ViewScratch::new();
-        let mut batch: Vec<Event<EngineEvent>> = Vec::new();
-        let mut claimed: Vec<InstanceId> = Vec::new();
-        #[cfg(debug_assertions)]
-        let mut audit = audit::ViewAudit::default();
-
-        let deadline = self.config.max_sim_time.map(|d| SimTime::ZERO + d);
-
-        while !queue.is_empty() {
-            queue.pop_simultaneous_into(&mut batch);
-            profile::add_events_popped(batch.len() as u64);
-            profile::add_sched_points(1);
-            let now = queue.now();
-            if let Some(deadline) = deadline {
-                if now > deadline {
-                    break;
-                }
-            }
-            for ev in batch.drain(..) {
-                match ev.payload {
-                    // Requests become visible to the scheduler only once
-                    // their arrival event fires: admission assigns the rank
-                    // that orders every phase-index iteration.
-                    EngineEvent::Arrival(id) => {
-                        table.admit(id);
-                        {
-                            let s = table.get(id).expect("known request");
-                            sink.on_admitted(
-                                now,
-                                AdmitInfo {
-                                    id,
-                                    class: s.request.class,
-                                    conversation: s.request.conversation,
-                                    input_len: s.request.input_len,
-                                    output_len: s.request.output_len,
-                                },
-                            );
-                        }
-                        if cache_on {
-                            let s = table.get_mut(id).expect("known request");
-                            if let Some(conversation) = s.request.conversation {
-                                // Pin the conversation's (current or future)
-                                // entry until this request's first prefill.
-                                s.waiting = true;
-                                pool.prefix_waiter_add(conversation);
-                            }
-                        }
-                        #[cfg(debug_assertions)]
-                        audit.on_arrival(id);
-                    }
-                    EngineEvent::WorkComplete(work_id) => {
-                        let work = in_flight.remove(&work_id).expect("unknown work id");
-                        Self::complete_work(
-                            work,
-                            now,
-                            &mut table,
-                            &mut pool,
-                            &mut instances_state,
-                            &mut decode_stats,
-                            &mut cache_stats,
-                            sink,
-                        );
-                    }
-                }
-            }
-
-            // Prefix-cache housekeeping precedes the view so the scheduler
-            // sees the post-eviction free slots: watermark eviction keeps
-            // retained KV from crowding out admission, and head-of-queue
-            // headroom eviction guarantees the FCFS head can always reserve
-            // at least what it could reserve with the tier disabled (the
-            // no-livelock argument: cached entries can never starve the
-            // head, so cache-on runs complete whatever cache-off runs
-            // complete).
-            if cache_on {
-                let head = table.iter_class(PhaseClass::Pending).next().map(|id| {
-                    let s = table.get(id).expect("indexed request exists");
-                    PrefixDemand {
-                        conversation: if s.waiting {
-                            s.request.conversation
-                        } else {
-                            None
-                        },
-                        remaining_input: s.effective_input(),
-                        reserve_output: s.remaining_max_output().max(1),
-                    }
-                });
-                let (entries, tokens) = pool.prefix_evict_point(head);
-                cache_stats.evicted_entries += entries;
-                cache_stats.evicted_tokens += tokens;
-                if entries > 0 {
-                    sink.on_cache_evict(now, entries, tokens);
-                }
-            }
-
-            // Scheduling point: assemble the view from the maintained
-            // indices. Iteration order is arrival order for requests and id
-            // order for instances — identical to a full rebuild.
-            scratch.clear();
-            for id in table.iter_class(PhaseClass::Pending) {
-                let s = table.get(id).expect("indexed request exists");
-                match s.phase {
-                    Phase::Pending { prefilled } => {
-                        scratch.pending.push(pending_entry(s, prefilled, &pool))
-                    }
-                    _ => unreachable!("pending index out of sync with phase"),
-                }
-            }
-            for id in table.iter_class(PhaseClass::DecodeReady) {
-                let s = table.get(id).expect("indexed request exists");
-                match s.phase {
-                    Phase::DecodeReady { generated } => scratch.decoding.push(DecodingRequest {
-                        id,
-                        context_len: s.request.input_len + generated,
-                        generated,
-                        decode_time_s: s
-                            .first_token
-                            .map(|ft| now.saturating_since(ft).as_secs())
-                            .unwrap_or(0.0),
-                        kv_instances: pool.locations_ref(id).iter().map(|&(i, _)| i).collect(),
-                    }),
-                    _ => unreachable!("decode-ready index out of sync with phase"),
-                }
-            }
-            for id in table.iter_class(PhaseClass::Swapped) {
-                let s = table.get(id).expect("indexed request exists");
-                match s.phase {
-                    Phase::Swapped { generated } => scratch.swapped.push(SwappedRequest {
-                        id,
-                        context_len: s.request.input_len + generated,
-                        generated,
-                        tokens: pool.swapped_tokens_of(id),
-                    }),
-                    _ => unreachable!("swapped index out of sync with phase"),
-                }
-            }
-            instances_state.fill_view(&mut scratch);
-            let avg_decode_latency_s = decode_stats.average();
-            sink.on_gauges(
-                now,
-                Gauges {
-                    queue_depth: scratch.pending.len() as u64,
-                    batch_size: scratch.decoding.len() as u64,
-                    kv_utilization: pool.active_utilization(),
-                },
-            );
-
+        let state = SimState {
+            cache_on: pool.prefix_enabled(),
+            pool,
+            host_link: config.host_swap.as_ref().map(|h| h.link),
+            kv_bytes_per_token: config.model.kv_bytes_per_token(),
+            deadline: config.max_sim_time.map(|d| SimTime::ZERO + d),
+            arrivals: EventQueue::new(),
+            work: EventQueue::new(),
+            now: SimTime::ZERO,
+            stopped: false,
+            crashed: false,
+            table: RequestTable::with_capacity(requests),
+            instances_state: InstanceTracker::new(num_instances),
+            in_flight: HashMap::new(),
+            work_ids: IdAllocator::new(),
+            group_ids: IdAllocator::new(),
+            finished: Vec::new(),
+            unresolved_tokens: 0,
+            window_cursor: 0,
+            out: RunOutcome::default(),
+            decode_stats: DecodeLatencyStats::default(),
+            scratch: ViewScratch::new(),
+            claimed: Vec::new(),
             #[cfg(debug_assertions)]
-            audit.check(
-                &table,
-                &pool,
-                &self.registry,
-                &instances_state,
-                now,
-                &scratch,
-            );
+            audit: audit::ViewAudit::default(),
+        };
+        ReplicaSim { engine, state }
+    }
 
-            let actions = {
-                let view = scratch.view(
-                    now,
-                    &pool,
-                    &self.registry,
-                    &self.cost_model,
-                    &self.sib,
-                    avg_decode_latency_s,
-                );
-                scheduler_calls += 1;
-                self.scheduler.schedule(&view)
-            };
+    /// Queues `req` to arrive at `req.arrival`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sim has already processed an instant at or after the
+    /// arrival, or if the id was injected before.
+    pub fn inject(&mut self, req: Request) {
+        let st = &mut self.state;
+        assert!(
+            st.out.scheduler_calls == 0 || req.arrival > st.now,
+            "request {} arrives at {:?}, but the sim already ran to {:?}",
+            req.id,
+            req.arrival,
+            st.now
+        );
+        st.unresolved_tokens += req.input_len + req.max_output_len;
+        st.arrivals.push(req.arrival, req.id);
+        st.table.insert(
+            req.id,
+            RequestState {
+                request: req,
+                phase: Phase::Pending { prefilled: 0 },
+                prefill_start: None,
+                first_token: None,
+                finish: None,
+                preemptions: 0,
+                resume_generated: 0,
+                reused: 0,
+                waiting: false,
+            },
+        );
+    }
 
-            claimed.clear();
-            let idle = &scratch.idle;
-            for action in actions {
-                match action {
-                    Action::Reject { request, reason } => {
-                        if let Some(s) = table.get(request) {
-                            if matches!(s.phase, Phase::Pending { .. }) {
-                                if s.waiting {
-                                    let conversation = s
-                                        .request
-                                        .conversation
-                                        .expect("waiting requests have a conversation");
-                                    table.get_mut(request).expect("known request").waiting = false;
-                                    pool.prefix_waiter_drop(conversation);
-                                }
-                                set_phase(&mut table, request, Phase::Rejected, now, sink);
-                                rejected.push((request, reason));
-                            }
-                        }
-                    }
-                    Action::Prefill {
-                        instances,
-                        requests,
-                        retain_on,
-                    } => {
-                        if instances
-                            .iter()
-                            .any(|i| claimed.contains(i) || !idle.contains(i))
-                        {
-                            continue;
-                        }
-                        // Atomic match → reuse: each untouched request
-                        // consults the prefix index exactly once, at the
-                        // moment its prefill is dispatched, and a hit
-                        // renames the cached slots to it in place. The
-                        // prefill then processes (and the cost model
-                        // charges) only the uncached suffix — recompute
-                        // evictions still re-prefill their checkpointed
-                        // tokens too.
-                        let mut prefill_reqs: Vec<PrefillRequest> = Vec::new();
-                        // Per-request (suffix, adopted) pairs of this
-                        // batch's cache hits, for cost accounting below.
-                        let mut adopted: Vec<(u64, u64)> = Vec::new();
-                        for &id in &requests {
-                            let Some(s) = table.get(id) else { continue };
-                            if !matches!(s.phase, Phase::Pending { .. }) {
-                                continue;
-                            }
-                            if s.waiting {
-                                let conversation = s
-                                    .request
-                                    .conversation
-                                    .expect("waiting requests have a conversation");
-                                let s = table.get_mut(id).expect("known request");
-                                s.waiting = false;
-                                pool.prefix_waiter_drop(conversation);
-                                cache_stats.lookups += 1;
-                                let prompt = s.effective_input();
-                                if let Some(tokens) = pool.prefix_adopt(id, conversation, prompt) {
-                                    s.reused = tokens;
-                                    cache_stats.hits += 1;
-                                    cache_stats.reused_tokens += tokens;
-                                    adopted.push((prompt - tokens, tokens));
-                                    sink.on_cache_adopt(now, id, tokens);
-                                }
-                            }
-                            let s = table.get(id).expect("known request");
-                            prefill_reqs.push(PrefillRequest {
-                                id,
-                                input_len: s.effective_input(),
-                            });
-                        }
-                        if prefill_reqs.is_empty() {
-                            continue;
-                        }
-                        if cache_on {
-                            // Admission counted reclaimable slots as free;
-                            // make good on it before planning the
-                            // retention placement.
-                            let needed: u64 = prefill_reqs.iter().map(|r| r.input_len).sum();
-                            let (e, t) = pool.prefix_evict_for_instances(&retain_on, needed);
-                            cache_stats.evicted_entries += e;
-                            cache_stats.evicted_tokens += t;
-                            if e > 0 {
-                                sink.on_cache_evict(now, e, t);
-                            }
-                        }
-                        // Suffix prefills still attend over their adopted
-                        // context: charge the extra attention the plain
-                        // suffix cost omits (zero when nothing was
-                        // adopted), exactly as the chunked path spans its
-                        // chunk over the processed prefix.
-                        let mut context_surcharge_s = 0.0f64;
-                        if !adopted.is_empty() {
-                            let parallel = ParallelConfig::new(self.registry.tp(), instances.len());
-                            let link = self.registry.link_between(&instances);
-                            for &(suffix, reused) in &adopted {
-                                context_surcharge_s += self
-                                    .cost_model
-                                    .cached_context_attention_s(suffix, reused, parallel);
-                            }
-                            // Saved-prefill accounting: what prefilling the
-                            // adopted tokens would have cost on this group,
-                            // batched per request (attention is quadratic,
-                            // so lumping them would overstate the saving).
-                            let adopted_lens: Vec<u64> =
-                                adopted.iter().map(|&(_, tokens)| tokens).collect();
-                            cache_stats.saved_prefill_s += self
-                                .cost_model
-                                .prefill_cost(&adopted_lens, parallel, link)
-                                .total();
-                        }
-                        let group = EspGroup::new(group_ids.next(), instances.clone());
-                        let plan = match PrefillPlan::build(group, prefill_reqs, retain_on, &pool) {
-                            Ok(plan) => plan,
-                            Err(_) => continue,
-                        };
-                        let outcome = match execute_prefill(
-                            &plan,
-                            &self.cost_model,
-                            &self.registry,
-                            &mut pool,
-                        ) {
-                            Ok(o) => o,
-                            Err(_) => continue,
-                        };
-                        iterations += 1;
-                        prefilled_tokens += outcome.retained_tokens;
-                        let done = now
-                            + SimDuration::from_secs(outcome.cost.total() + context_surcharge_s);
-                        for &inst in &instances {
-                            instances_state.dispatch(inst, done);
-                            claimed.push(inst);
-                        }
-                        for &id in &requests {
-                            if table.contains(id) {
-                                set_phase(&mut table, id, Phase::Prefilling, now, sink);
-                                table
-                                    .get_mut(id)
-                                    .expect("known request")
-                                    .prefill_start
-                                    .get_or_insert(now);
-                            }
-                        }
-                        let wid = work_ids.next().raw();
-                        in_flight.insert(
-                            wid,
-                            Work::Prefill {
-                                instances,
-                                requests,
-                            },
-                        );
-                        queue.push(done, EngineEvent::WorkComplete(wid));
-                    }
-                    Action::Decode {
-                        instances,
-                        masters,
-                        requests,
-                    } => {
-                        if instances
-                            .iter()
-                            .any(|i| claimed.contains(i) || !idle.contains(i))
-                        {
-                            continue;
-                        }
-                        let decode_batch: Vec<(RequestId, u64)> = requests
-                            .iter()
-                            .filter_map(|id| {
-                                let s = table.get(*id)?;
-                                match s.phase {
-                                    Phase::DecodeReady { generated } => {
-                                        Some((*id, s.request.input_len + generated))
-                                    }
-                                    _ => None,
-                                }
-                            })
-                            .collect();
-                        if decode_batch.is_empty() {
-                            continue;
-                        }
-                        if cache_on {
-                            // Each batched request appends one token on a
-                            // master, so headroom must exist on the master
-                            // set specifically — summing free slots over
-                            // the whole group could see room on non-master
-                            // instances, skip eviction, and leave a
-                            // cache-crowded master stalling its decodes
-                            // (the pressure rescue path defers to this
-                            // eviction for prefix-crowded instances).
-                            let evict_on: &[InstanceId] = if masters.is_empty() {
-                                &instances
-                            } else {
-                                &masters
-                            };
-                            let (e, t) = pool
-                                .prefix_evict_for_instances(evict_on, decode_batch.len() as u64);
-                            cache_stats.evicted_entries += e;
-                            cache_stats.evicted_tokens += t;
-                            if e > 0 {
-                                sink.on_cache_evict(now, e, t);
-                            }
-                        }
-                        let group =
-                            EspGroup::with_masters(group_ids.next(), instances.clone(), masters);
-                        let plan = match DecodePlan::build(group, &decode_batch, &pool) {
-                            Ok(plan) => plan,
-                            Err(_) => continue,
-                        };
-                        let outcome = match execute_decode(
-                            &plan,
-                            &self.cost_model,
-                            &self.registry,
-                            &mut pool,
-                        ) {
-                            Ok(o) => o,
-                            Err(_) => continue,
-                        };
-                        iterations += 1;
-                        let done = now + SimDuration::from_secs(outcome.cost.total());
-                        for &inst in &instances {
-                            instances_state.dispatch(inst, done);
-                            claimed.push(inst);
-                        }
-                        let batch_ids: Vec<RequestId> =
-                            decode_batch.iter().map(|(id, _)| *id).collect();
-                        for &id in &batch_ids {
-                            if let Some(Phase::DecodeReady { generated }) =
-                                table.get(id).map(|s| &s.phase)
-                            {
-                                let generated = *generated;
-                                set_phase(&mut table, id, Phase::Decoding { generated }, now, sink);
-                            }
-                        }
-                        let wid = work_ids.next().raw();
-                        in_flight.insert(
-                            wid,
-                            Work::Decode {
-                                instances,
-                                requests: batch_ids,
-                            },
-                        );
-                        queue.push(done, EngineEvent::WorkComplete(wid));
-                    }
-                    Action::ChunkedPrefill {
-                        instances,
-                        prefill_request,
-                        chunk_tokens,
-                        decode_requests,
-                    } => {
-                        if instances
-                            .iter()
-                            .any(|i| claimed.contains(i) || !idle.contains(i))
-                        {
-                            continue;
-                        }
-                        let Some(state) = table.get(prefill_request) else {
-                            continue;
-                        };
-                        let Phase::Pending { prefilled } = state.phase else {
-                            continue;
-                        };
-                        // First chunk of an untouched request: the same
-                        // atomic match → reuse as the full-prefill path.
-                        if state.waiting {
-                            let conversation = state
-                                .request
-                                .conversation
-                                .expect("waiting requests have a conversation");
-                            let s = table.get_mut(prefill_request).expect("known request");
-                            s.waiting = false;
-                            pool.prefix_waiter_drop(conversation);
-                            cache_stats.lookups += 1;
-                            let prompt = s.effective_input();
-                            if let Some(tokens) =
-                                pool.prefix_adopt(prefill_request, conversation, prompt)
-                            {
-                                s.reused = tokens;
-                                cache_stats.hits += 1;
-                                cache_stats.reused_tokens += tokens;
-                                sink.on_cache_adopt(now, prefill_request, tokens);
-                                let parallel =
-                                    ParallelConfig::new(self.registry.tp(), instances.len());
-                                let link = self.registry.link_between(&instances);
-                                cache_stats.saved_prefill_s += self
-                                    .cost_model
-                                    .prefill_cost(&[tokens], parallel, link)
-                                    .total();
-                            }
-                        }
-                        let state = table.get(prefill_request).expect("known request");
-                        let reused = state.reused;
-                        let chunk = chunk_tokens.min(state.effective_input() - prefilled);
-                        if chunk == 0 {
-                            continue;
-                        }
-                        if cache_on {
-                            let needed = chunk + decode_requests.len() as u64;
-                            let (e, t) = pool.prefix_evict_for_instances(&instances, needed);
-                            cache_stats.evicted_entries += e;
-                            cache_stats.evicted_tokens += t;
-                            if e > 0 {
-                                sink.on_cache_evict(now, e, t);
-                            }
-                        }
-                        // Reserve KV for the chunk on the executing instances.
-                        let Some(placement) = pool.plan(
-                            prefill_request,
-                            chunk,
-                            &instances,
-                            PlacementStrategy::PackMostFree,
-                        ) else {
-                            continue;
-                        };
-                        if pool.commit(&placement).is_err() {
-                            continue;
-                        }
-                        let decode_batch: Vec<(RequestId, u64)> = decode_requests
-                            .iter()
-                            .filter_map(|id| {
-                                let s = table.get(*id)?;
-                                match s.phase {
-                                    Phase::DecodeReady { generated } => {
-                                        Some((*id, s.request.input_len + generated))
-                                    }
-                                    _ => None,
-                                }
-                            })
-                            .collect();
-                        let decode_lens: Vec<u64> = decode_batch.iter().map(|(_, l)| *l).collect();
-                        // Append the decode tokens on the first instance.
-                        let master = instances[0];
-                        let mut decode_ok: Vec<RequestId> = Vec::new();
-                        for (id, _) in &decode_batch {
-                            if pool.append(*id, master, 1).is_ok() {
-                                decode_ok.push(*id);
-                            }
-                        }
-                        let parallel = ParallelConfig::new(self.registry.tp(), instances.len());
-                        let link = self.registry.link_between(&instances);
-                        // Adopted tokens are real context: the chunk's
-                        // attention still spans them, it just skips their
-                        // KV computation (zero extra term when reused = 0).
-                        let cost = self.cost_model.chunked_prefill_cost(
-                            chunk,
-                            prefilled + reused,
-                            &decode_lens,
-                            parallel,
-                            link,
-                        );
-                        iterations += 1;
-                        prefilled_tokens += chunk;
-                        let done = now + SimDuration::from_secs(cost.total());
-                        for &inst in &instances {
-                            instances_state.dispatch(inst, done);
-                            claimed.push(inst);
-                        }
-                        if table.contains(prefill_request) {
-                            table
-                                .get_mut(prefill_request)
-                                .expect("known request")
-                                .prefill_start
-                                .get_or_insert(now);
-                            set_phase(&mut table, prefill_request, Phase::Prefilling, now, sink);
-                        }
-                        for &id in &decode_ok {
-                            if let Some(Phase::DecodeReady { generated }) =
-                                table.get(id).map(|s| &s.phase)
-                            {
-                                let generated = *generated;
-                                set_phase(&mut table, id, Phase::Decoding { generated }, now, sink);
-                            }
-                        }
-                        let wid = work_ids.next().raw();
-                        in_flight.insert(
-                            wid,
-                            Work::ChunkedPrefill {
-                                instances,
-                                prefill_request,
-                                prefilled_after: prefilled + chunk,
-                                decode_requests: decode_ok,
-                            },
-                        );
-                        queue.push(done, EngineEvent::WorkComplete(wid));
-                    }
-                    Action::Migrate { request, targets } => {
-                        let Some(state) = table.get(request) else {
-                            continue;
-                        };
-                        let generated = match state.phase {
-                            Phase::DecodeReady { generated } => generated,
-                            _ => continue,
-                        };
-                        if cache_on {
-                            let (e, t) =
-                                pool.prefix_evict_for_instances(&targets, pool.tokens_of(request));
-                            cache_stats.evicted_entries += e;
-                            cache_stats.evicted_tokens += t;
-                            if e > 0 {
-                                sink.on_cache_evict(now, e, t);
-                            }
-                        }
-                        match migrate_request(
-                            request,
-                            &targets,
-                            &mut pool,
-                            &self.cost_model,
-                            &self.registry,
-                        ) {
-                            Ok(summary) => {
-                                migration_bytes += summary.total_bytes;
-                                set_phase(
-                                    &mut table,
-                                    request,
-                                    Phase::Migrating { generated },
-                                    now,
-                                    sink,
-                                );
-                                table.get_mut(request).expect("known request").preemptions += 1;
-                                let done = now + SimDuration::from_secs(summary.time_s.max(1e-6));
-                                let wid = work_ids.next().raw();
-                                in_flight.insert(wid, Work::Migration { request });
-                                queue.push(done, EngineEvent::WorkComplete(wid));
-                            }
-                            Err(_) => continue,
-                        }
-                    }
-                    Action::Preempt { request } => {
-                        let Some(state) = table.get(request) else {
-                            continue;
-                        };
-                        let Phase::DecodeReady { generated } = state.phase else {
-                            continue;
-                        };
-                        // Discard the KV and send the request back to the
-                        // pending queue; it keeps its admission rank, so it
-                        // re-prefills in FCFS position once pressure clears.
-                        // The checkpoint makes the next prefill recompute
-                        // prompt + generated KV and decoding resume in
-                        // place, so each output token is generated exactly
-                        // once (vLLM's recompute semantics).
-                        pool.release(request);
-                        sink.on_preempted(now, request);
-                        set_phase(
-                            &mut table,
-                            request,
-                            Phase::Pending { prefilled: 0 },
-                            now,
-                            sink,
-                        );
-                        let state = table.get_mut(request).expect("known request");
-                        state.resume_generated = generated;
-                        // Any adopted prefix KV was just discarded with the
-                        // rest; the recompute prefill covers it again.
-                        state.reused = 0;
-                        state.preemptions += 1;
-                        pressure_stats.preemptions += 1;
-                        // Freeing memory schedules no work of its own; the
-                        // epsilon event guarantees a next scheduling point
-                        // that sees the freed slots.
-                        let done = now + SimDuration::from_secs(1e-6);
-                        let wid = work_ids.next().raw();
-                        in_flight.insert(wid, Work::Preempt);
-                        queue.push(done, EngineEvent::WorkComplete(wid));
-                    }
-                    Action::SwapOut { request } => {
-                        let Some(state) = table.get(request) else {
-                            continue;
-                        };
-                        let generated = match state.phase {
-                            Phase::DecodeReady { generated } => generated,
-                            _ => continue,
-                        };
-                        let Some(link) = host_link else {
-                            continue;
-                        };
-                        let tokens = match pool.swap_out(request) {
-                            Ok(tokens) => tokens,
-                            Err(_) => continue,
-                        };
-                        // Device slots free immediately (the DMA drains
-                        // asynchronously); the request itself stalls for the
-                        // D2H transfer before it is parked.
-                        let bytes = tokens as f64 * kv_bytes_per_token;
-                        let transfer_s = link.transfer_time(bytes).max(1e-6);
-                        set_phase(
-                            &mut table,
-                            request,
-                            Phase::SwappingOut { generated },
-                            now,
-                            sink,
-                        );
-                        pressure_stats.swap_out_events += 1;
-                        pressure_stats.swap_out_bytes += bytes;
-                        pressure_stats.swap_stall_s += transfer_s;
-                        pressure_stats.max_outstanding_swapped_tokens = pressure_stats
-                            .max_outstanding_swapped_tokens
-                            .max(pool.total_swapped());
-                        let done = now + SimDuration::from_secs(transfer_s);
-                        let wid = work_ids.next().raw();
-                        in_flight.insert(wid, Work::SwapOut { request });
-                        queue.push(done, EngineEvent::WorkComplete(wid));
-                    }
-                    Action::SwapIn { request, targets } => {
-                        let Some(state) = table.get(request) else {
-                            continue;
-                        };
-                        let generated = match state.phase {
-                            Phase::Swapped { generated } => generated,
-                            _ => continue,
-                        };
-                        let Some(link) = host_link else {
-                            continue;
-                        };
-                        if cache_on {
-                            let (e, t) = pool.prefix_evict_for_instances(
-                                &targets,
-                                pool.swapped_tokens_of(request),
-                            );
-                            cache_stats.evicted_entries += e;
-                            cache_stats.evicted_tokens += t;
-                            if e > 0 {
-                                sink.on_cache_evict(now, e, t);
-                            }
-                        }
-                        let tokens = match pool.swap_in(
-                            request,
-                            &targets,
-                            PlacementStrategy::PackMostFree,
-                        ) {
-                            Ok(tokens) => tokens,
-                            Err(_) => continue,
-                        };
-                        // Device slots are reserved now (no oversubscription
-                        // while the H2D transfer is in flight); the request
-                        // resumes decoding when it completes.
-                        let bytes = tokens as f64 * kv_bytes_per_token;
-                        let transfer_s = link.transfer_time(bytes).max(1e-6);
-                        set_phase(
-                            &mut table,
-                            request,
-                            Phase::SwappingIn { generated },
-                            now,
-                            sink,
-                        );
-                        pressure_stats.swap_in_events += 1;
-                        pressure_stats.swap_in_bytes += bytes;
-                        pressure_stats.swap_stall_s += transfer_s;
-                        let done = now + SimDuration::from_secs(transfer_s);
-                        let wid = work_ids.next().raw();
-                        in_flight.insert(wid, Work::SwapIn { request });
-                        queue.push(done, EngineEvent::WorkComplete(wid));
-                    }
-                }
-            }
-        }
+    /// Requests injected so far.
+    pub fn injected(&self) -> usize {
+        self.state.table.len()
+    }
 
-        let sim_time = queue.now();
-        let mut records = Vec::new();
-        let mut unfinished = 0usize;
-        for (_, s) in table.into_entries() {
-            match s.phase {
-                Phase::Finished => {
-                    records.push(RequestRecord {
-                        id: s.request.id,
-                        arrival: s.request.arrival,
-                        input_len: s.request.input_len,
-                        output_len: s.request.output_len,
-                        prefill_start: s.prefill_start.expect("finished requests started prefill"),
-                        first_token: s
-                            .first_token
-                            .expect("finished requests produced a first token"),
-                        finish: s.finish.expect("finished requests finished"),
-                        preemptions: s.preemptions,
-                        class: s.request.class,
-                    });
-                }
-                Phase::Rejected => {}
-                _ => unfinished += 1,
-            }
-        }
-        records.sort_by_key(|r| r.id);
+    /// The instant of the next batch, `None` when nothing is queued.
+    pub fn next_event_time(&self) -> Option<SimTime> {
+        self.state.next_event_time()
+    }
 
+    /// Processes every batch strictly before `t`: arrivals injected at `t`
+    /// afterwards still join the `t` batch.
+    pub fn advance_until(&mut self, t: SimTime, sink: &mut dyn TraceSink) {
+        self.advance(|next| next < t, sink);
+    }
+
+    /// Processes every batch at or before `t`.
+    pub fn advance_through(&mut self, t: SimTime, sink: &mut dyn TraceSink) {
+        self.advance(|next| next <= t, sink);
+    }
+
+    /// Processes every remaining batch (up to the engine's
+    /// `max_sim_time`, when one is set).
+    pub fn run_to_end(&mut self, sink: &mut dyn TraceSink) {
+        self.advance(|_| true, sink);
+    }
+
+    /// Crashes the replica at `at`: work completing by `at` still counts
+    /// (the crash interrupts the machine, not the ledger), and every
+    /// injected request neither completed nor rejected by then is returned
+    /// as a casualty, in id order. The sim is spent afterwards: only
+    /// [`ReplicaSim::finish`] remains, and its outcome counts no casualty
+    /// as unfinished.
+    pub fn crash(&mut self, at: SimTime, sink: &mut dyn TraceSink) -> Vec<Request> {
+        self.advance_through(at, sink);
+        self.state.crashed = true;
+        self.state
+            .table
+            .iter()
+            .filter(|(_, s)| !matches!(s.phase, Phase::Finished | Phase::Rejected))
+            .map(|(_, s)| s.request.clone())
+            .collect()
+    }
+
+    /// Ends the run. Its `sim_time` is the instant of the last batch
+    /// processed — or, when a crash or the deadline stopped the run with
+    /// events still queued, the instant of the first of those.
+    pub fn finish(self) -> RunOutcome {
+        let ReplicaSim { engine, state } = self;
+        let sim_time = state.next_event_time().unwrap_or(state.now);
+        let SimState {
+            table,
+            finished,
+            crashed,
+            out,
+            ..
+        } = state;
+        let resolved = finished.len() + out.rejected.len();
+        drop(finished);
+        let unfinished = if crashed { 0 } else { table.len() - resolved };
+        // Consuming the table frees its phase indices before the records
+        // are built.
+        let records = table
+            .into_entries()
+            .filter(|(_, s)| matches!(s.phase, Phase::Finished))
+            .map(|(_, s)| record_of(&s))
+            .collect();
         RunOutcome {
             records,
-            rejected,
             unfinished,
-            scaling_events: self.scheduler.scaling_events().to_vec(),
+            scaling_events: engine.scheduler.scaling_events().to_vec(),
             sim_time,
-            iterations,
-            migration_bytes,
-            scheduler_calls,
-            pressure: pressure_stats,
-            cache: cache_stats,
-            prefilled_tokens,
+            ..out
+        }
+    }
+
+    /// Reads a control window closing at `at` off a sim advanced to just
+    /// before `at`: appends to `window` the completions inside
+    /// `(window_start_s, at]` and returns the worst-case tokens
+    /// (`input_len + max_output_len`) of the injected requests still
+    /// unresolved at `at`. Completions due at exactly `at` are read off the
+    /// work queue without processing their batch, so arrivals routed at
+    /// `at` can still join it.
+    pub fn observe(
+        &mut self,
+        at: SimTime,
+        window_start_s: f64,
+        window: &mut Vec<RequestRecord>,
+    ) -> u64 {
+        let st = &mut self.state;
+        debug_assert!(
+            st.next_event_time().is_none_or(|t| t >= at),
+            "observe needs a sim advanced to just before {at:?}"
+        );
+        let finish_s = |id: RequestId| {
+            let s = st.table.get(id).expect("known request");
+            s.finish.expect("finished requests finished").as_secs()
+        };
+        while st.window_cursor < st.finished.len()
+            && finish_s(st.finished[st.window_cursor]) <= window_start_s
+        {
+            st.window_cursor += 1;
+        }
+        window.extend(
+            st.finished[st.window_cursor..]
+                .iter()
+                .map(|&id| record_of(st.table.get(id).expect("known request"))),
+        );
+        let mut backlog = st.unresolved_tokens;
+        for event in st.work.iter().filter(|e| e.at == at) {
+            let work = st
+                .in_flight
+                .get(&event.payload)
+                .expect("queued work is in flight");
+            for id in work.finishing(&st.table) {
+                let s = st.table.get(id).expect("known request");
+                backlog -= s.request.input_len + s.request.max_output_len;
+                if at.as_secs() > window_start_s {
+                    window.push(completion_record(s, s.first_token.unwrap_or(at), at));
+                }
+            }
+        }
+        backlog
+    }
+
+    fn advance(&mut self, mut admit: impl FnMut(SimTime) -> bool, sink: &mut dyn TraceSink) {
+        while !self.state.stopped {
+            let Some(t) = self.state.next_event_time() else {
+                break;
+            };
+            if !admit(t) {
+                break;
+            }
+            if self.state.deadline.is_some_and(|d| t > d) {
+                self.state.stopped = true;
+                break;
+            }
+            self.step(t, sink);
+        }
+    }
+
+    /// Processes the batch at `now` and runs its scheduling point.
+    fn step(&mut self, now: SimTime, sink: &mut dyn TraceSink) {
+        let st = &mut self.state;
+        st.now = now;
+        let mut events = 0;
+        // Requests become visible to the scheduler only once their arrival
+        // event fires: admission assigns the rank that orders every
+        // phase-index iteration.
+        while st.arrivals.peek_time() == Some(now) {
+            let id = st.arrivals.pop().expect("peeked above").payload;
+            st.arrive(id, now, sink);
+            events += 1;
+        }
+        while st.work.peek_time() == Some(now) {
+            let wid = st.work.pop().expect("peeked above").payload;
+            let work = st.in_flight.remove(&wid).expect("unknown work id");
+            st.complete_work(work, now, sink);
+            events += 1;
+        }
+        profile::add_events_popped(events);
+        profile::add_sched_points(1);
+        st.schedule(&mut self.engine, now, sink);
+    }
+}
+
+impl SimState {
+    /// Sets a request's phase and keeps the table's phase indices in sync.
+    ///
+    /// Every phase write in the engine goes through here: the phase-index sets
+    /// are the *only* source of the scheduler view's pending/decoding lists, so
+    /// a direct `phase =` write that skipped the class update would silently
+    /// desynchronise them (the debug-build view audit would catch it).
+    ///
+    /// It is also the tracing chokepoint: each write emits the matching
+    /// lifecycle event into the [`TraceSink`] *after* the decision is already
+    /// made, so sinks observe every transition but can influence none. Engine
+    /// phases map onto trace spans many-to-one — the per-iteration
+    /// `DecodeReady`/`Decoding` cycle all maps to [`SpanPhase::Decode`] — and
+    /// the emission is elided here whenever the span phase does not change:
+    /// recorders would coalesce the repeat anyway, and the decode loop cycles
+    /// phases every iteration, so skipping the no-op emission keeps the
+    /// tracing overhead proportional to *span* transitions, not engine
+    /// iterations. Terminal phases become [`Terminal`] events rather than
+    /// spans and are always emitted.
+    fn set_phase(&mut self, id: RequestId, phase: Phase, now: SimTime, sink: &mut dyn TraceSink) {
+        /// The span a non-terminal engine phase belongs to.
+        fn span_of(phase: &Phase) -> Option<SpanPhase> {
+            match phase {
+                Phase::Pending { .. } => Some(SpanPhase::Queued),
+                Phase::Prefilling => Some(SpanPhase::Prefill),
+                Phase::DecodeReady { .. } | Phase::Decoding { .. } => Some(SpanPhase::Decode),
+                Phase::Migrating { .. } => Some(SpanPhase::Migrate),
+                Phase::SwappingOut { .. } => Some(SpanPhase::SwapOut),
+                Phase::Swapped { .. } => Some(SpanPhase::SwappedOut),
+                Phase::SwappingIn { .. } => Some(SpanPhase::SwapIn),
+                Phase::Finished | Phase::Rejected => None,
+            }
+        }
+
+        match &phase {
+            Phase::Finished => sink.on_terminal(now, id, Terminal::Completed),
+            Phase::Rejected => sink.on_terminal(now, id, Terminal::Rejected),
+            other => {
+                let span = span_of(other).expect("non-terminal phase has a span");
+                let prev = self.table.get(id).and_then(|s| span_of(&s.phase));
+                if prev != Some(span) {
+                    sink.on_phase(now, id, span);
+                }
+            }
+        }
+        let class = phase.class();
+        let state = self.table.get_mut(id).expect("known request");
+        state.phase = phase;
+        self.table.set_class(id, class);
+    }
+
+    fn next_event_time(&self) -> Option<SimTime> {
+        match (self.arrivals.peek_time(), self.work.peek_time()) {
+            (Some(a), Some(w)) => Some(a.min(w)),
+            (a, w) => a.or(w),
+        }
+    }
+
+    fn arrive(&mut self, id: RequestId, now: SimTime, sink: &mut dyn TraceSink) {
+        self.table.admit(id);
+        let s = self.table.get_mut(id).expect("known request");
+        sink.on_admitted(
+            now,
+            AdmitInfo {
+                id,
+                class: s.request.class,
+                conversation: s.request.conversation,
+                input_len: s.request.input_len,
+                output_len: s.request.output_len,
+            },
+        );
+        if self.cache_on {
+            if let Some(conversation) = s.request.conversation {
+                // Pin the conversation's (current or future) entry until
+                // this request's first prefill.
+                s.waiting = true;
+                self.pool.prefix_waiter_add(conversation);
+            }
+        }
+        #[cfg(debug_assertions)]
+        self.audit.on_arrival(id);
+    }
+
+    /// The scheduling point at `now`: prefix-cache housekeeping, the view,
+    /// the scheduler call, and the execution of its actions.
+    fn schedule<S: Scheduler + ?Sized>(
+        &mut self,
+        engine: &mut ServingEngine<S>,
+        now: SimTime,
+        sink: &mut dyn TraceSink,
+    ) {
+        // Prefix-cache housekeeping precedes the view so the scheduler
+        // sees the post-eviction free slots: watermark eviction keeps
+        // retained KV from crowding out admission, and head-of-queue
+        // headroom eviction guarantees the FCFS head can always reserve
+        // at least what it could reserve with the tier disabled (the
+        // no-livelock argument: cached entries can never starve the
+        // head, so cache-on runs complete whatever cache-off runs
+        // complete).
+        if self.cache_on {
+            let head = self.table.iter_class(PhaseClass::Pending).next().map(|id| {
+                let s = self.table.get(id).expect("indexed request exists");
+                PrefixDemand {
+                    conversation: s.request.conversation.filter(|_| s.waiting),
+                    remaining_input: s.effective_input(),
+                    reserve_output: s.remaining_max_output().max(1),
+                }
+            });
+            let evicted = self.pool.prefix_evict_point(head);
+            self.note_evictions(evicted, now, sink);
+        }
+
+        // Scheduling point: assemble the view from the maintained
+        // indices. Iteration order is arrival order for requests and id
+        // order for instances — identical to a full rebuild.
+        self.scratch.clear();
+        for id in self.table.iter_class(PhaseClass::Pending) {
+            let s = self.table.get(id).expect("indexed request exists");
+            let Phase::Pending { prefilled } = s.phase else {
+                unreachable!("pending index out of sync with phase");
+            };
+            let entry = pending_entry(s, prefilled, &self.pool);
+            self.scratch.pending.push(entry);
+        }
+        for id in self.table.iter_class(PhaseClass::DecodeReady) {
+            let s = self.table.get(id).expect("indexed request exists");
+            let Phase::DecodeReady { generated } = s.phase else {
+                unreachable!("decode-ready index out of sync with phase");
+            };
+            self.scratch.decoding.push(DecodingRequest {
+                id,
+                context_len: s.request.input_len + generated,
+                generated,
+                decode_time_s: s
+                    .first_token
+                    .map(|ft| now.saturating_since(ft).as_secs())
+                    .unwrap_or(0.0),
+                kv_instances: self
+                    .pool
+                    .locations_ref(id)
+                    .iter()
+                    .map(|&(i, _)| i)
+                    .collect(),
+            });
+        }
+        for id in self.table.iter_class(PhaseClass::Swapped) {
+            let s = self.table.get(id).expect("indexed request exists");
+            let Phase::Swapped { generated } = s.phase else {
+                unreachable!("swapped index out of sync with phase");
+            };
+            self.scratch.swapped.push(SwappedRequest {
+                id,
+                context_len: s.request.input_len + generated,
+                generated,
+                tokens: self.pool.swapped_tokens_of(id),
+            });
+        }
+        self.instances_state.fill_view(&mut self.scratch);
+        sink.on_gauges(
+            now,
+            Gauges {
+                queue_depth: self.scratch.pending.len() as u64,
+                batch_size: self.scratch.decoding.len() as u64,
+                kv_utilization: self.pool.active_utilization(),
+            },
+        );
+
+        #[cfg(debug_assertions)]
+        self.audit.check(
+            &self.table,
+            &self.pool,
+            &engine.registry,
+            &self.instances_state,
+            now,
+            &self.scratch,
+        );
+
+        let view = self.scratch.view(
+            now,
+            &self.pool,
+            &engine.registry,
+            &engine.cost_model,
+            &engine.sib,
+            self.decode_stats.average(),
+        );
+        self.out.scheduler_calls += 1;
+        let actions = engine.scheduler.schedule(&view);
+
+        self.claimed.clear();
+        for action in actions {
+            match action {
+                Action::Reject { request, reason } => self.reject(request, reason, now, sink),
+                Action::Prefill {
+                    instances,
+                    requests,
+                    retain_on,
+                } => self.prefill(engine, instances, requests, retain_on, now, sink),
+                Action::Decode {
+                    instances,
+                    masters,
+                    requests,
+                } => self.decode(engine, instances, masters, requests, now, sink),
+                Action::ChunkedPrefill {
+                    instances,
+                    prefill_request,
+                    chunk_tokens,
+                    decode_requests,
+                } => self.chunked_prefill(
+                    engine,
+                    instances,
+                    prefill_request,
+                    chunk_tokens,
+                    decode_requests,
+                    now,
+                    sink,
+                ),
+                Action::Migrate { request, targets } => {
+                    self.migrate(engine, request, targets, now, sink)
+                }
+                Action::Preempt { request } => self.preempt(request, now, sink),
+                Action::SwapOut { request } => self.swap_out(request, now, sink),
+                Action::SwapIn { request, targets } => self.swap_in(request, targets, now, sink),
+            }
+        }
+    }
+
+    fn reject(&mut self, id: RequestId, reason: String, now: SimTime, sink: &mut dyn TraceSink) {
+        let Some(s) = self.table.get(id) else {
+            return;
+        };
+        if !matches!(s.phase, Phase::Pending { .. }) {
+            return;
+        }
+        self.unresolved_tokens -= s.request.input_len + s.request.max_output_len;
+        self.stop_waiting(id);
+        self.set_phase(id, Phase::Rejected, now, sink);
+        self.out.rejected.push((id, reason));
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn prefill<S: Scheduler + ?Sized>(
+        &mut self,
+        engine: &ServingEngine<S>,
+        instances: Vec<InstanceId>,
+        requests: Vec<RequestId>,
+        retain_on: Vec<InstanceId>,
+        now: SimTime,
+        sink: &mut dyn TraceSink,
+    ) {
+        if !self.free(&instances) {
+            return;
+        }
+        // Atomic match → reuse: each untouched request consults the prefix
+        // index exactly once, at the moment its prefill is dispatched, and
+        // a hit renames the cached slots to it in place. The prefill then
+        // processes (and the cost model charges) only the uncached suffix —
+        // recompute evictions still re-prefill their checkpointed tokens
+        // too.
+        let mut prefill_reqs: Vec<PrefillRequest> = Vec::new();
+        // Per-request (suffix, adopted) pairs of this batch's cache hits,
+        // for cost accounting below.
+        let mut adopted: Vec<(u64, u64)> = Vec::new();
+        for &id in &requests {
+            if !matches!(self.phase_of(id), Some(Phase::Pending { .. })) {
+                continue;
+            }
+            if let Some((prompt, tokens)) = self.adopt_prefix(id, now, sink) {
+                adopted.push((prompt - tokens, tokens));
+            }
+            let s = self.table.get(id).expect("known request");
+            prefill_reqs.push(PrefillRequest {
+                id,
+                input_len: s.effective_input(),
+            });
+        }
+        if prefill_reqs.is_empty() {
+            return;
+        }
+        // Admission counted reclaimable slots as free; make good on it
+        // before planning the retention placement.
+        let needed: u64 = prefill_reqs.iter().map(|r| r.input_len).sum();
+        self.evict_for(&retain_on, needed, now, sink);
+        // Suffix prefills still attend over their adopted context: charge
+        // the extra attention the plain suffix cost omits (zero when
+        // nothing was adopted), exactly as the chunked path spans its
+        // chunk over the processed prefix.
+        let mut context_surcharge_s = 0.0f64;
+        if !adopted.is_empty() {
+            let parallel = ParallelConfig::new(engine.registry.tp(), instances.len());
+            let link = engine.registry.link_between(&instances);
+            for &(suffix, reused) in &adopted {
+                context_surcharge_s += engine
+                    .cost_model
+                    .cached_context_attention_s(suffix, reused, parallel);
+            }
+            // Saved-prefill accounting: what prefilling the adopted tokens
+            // would have cost on this group, batched per request
+            // (attention is quadratic, so lumping them would overstate the
+            // saving).
+            let adopted_lens: Vec<u64> = adopted.iter().map(|&(_, tokens)| tokens).collect();
+            self.out.cache.saved_prefill_s += engine
+                .cost_model
+                .prefill_cost(&adopted_lens, parallel, link)
+                .total();
+        }
+        let group = EspGroup::new(self.group_ids.next(), instances.clone());
+        let Ok(plan) = PrefillPlan::build(group, prefill_reqs, retain_on, &self.pool) else {
+            return;
+        };
+        let Ok(outcome) =
+            execute_prefill(&plan, &engine.cost_model, &engine.registry, &mut self.pool)
+        else {
+            return;
+        };
+        self.out.iterations += 1;
+        self.out.prefilled_tokens += outcome.retained_tokens;
+        for &id in &requests {
+            if let Some(s) = self.table.get_mut(id) {
+                s.prefill_start.get_or_insert(now);
+                self.set_phase(id, Phase::Prefilling, now, sink);
+            }
+        }
+        let cost_s = outcome.cost.total() + context_surcharge_s;
+        self.start(
+            now + SimDuration::from_secs(cost_s),
+            Work::Prefill {
+                instances,
+                requests,
+            },
+        );
+    }
+
+    fn decode<S: Scheduler + ?Sized>(
+        &mut self,
+        engine: &ServingEngine<S>,
+        instances: Vec<InstanceId>,
+        masters: Vec<InstanceId>,
+        requests: Vec<RequestId>,
+        now: SimTime,
+        sink: &mut dyn TraceSink,
+    ) {
+        if !self.free(&instances) {
+            return;
+        }
+        let decode_batch = self.decode_ready(&requests);
+        if decode_batch.is_empty() {
+            return;
+        }
+        // Each batched request appends one token on a master, so headroom
+        // must exist on the master set specifically — summing free slots
+        // over the whole group could see room on non-master instances,
+        // skip eviction, and leave a cache-crowded master stalling its
+        // decodes (the pressure rescue path defers to this eviction for
+        // prefix-crowded instances).
+        let evict_on = if masters.is_empty() {
+            &instances
+        } else {
+            &masters
+        };
+        self.evict_for(evict_on, decode_batch.len() as u64, now, sink);
+        let group = EspGroup::with_masters(self.group_ids.next(), instances.clone(), masters);
+        let Ok(plan) = DecodePlan::build(group, &decode_batch, &self.pool) else {
+            return;
+        };
+        let Ok(outcome) =
+            execute_decode(&plan, &engine.cost_model, &engine.registry, &mut self.pool)
+        else {
+            return;
+        };
+        self.out.iterations += 1;
+        let requests: Vec<RequestId> = decode_batch.iter().map(|&(id, _)| id).collect();
+        self.begin_decoding(&requests, now, sink);
+        self.start(
+            now + SimDuration::from_secs(outcome.cost.total()),
+            Work::Decode {
+                instances,
+                requests,
+            },
+        );
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn chunked_prefill<S: Scheduler + ?Sized>(
+        &mut self,
+        engine: &ServingEngine<S>,
+        instances: Vec<InstanceId>,
+        prefill_request: RequestId,
+        chunk_tokens: u64,
+        decode_requests: Vec<RequestId>,
+        now: SimTime,
+        sink: &mut dyn TraceSink,
+    ) {
+        if !self.free(&instances) {
+            return;
+        }
+        let Some(&Phase::Pending { prefilled }) = self.phase_of(prefill_request) else {
+            return;
+        };
+        // First chunk of an untouched request: the same atomic match →
+        // reuse as the full-prefill path.
+        if let Some((_, tokens)) = self.adopt_prefix(prefill_request, now, sink) {
+            let parallel = ParallelConfig::new(engine.registry.tp(), instances.len());
+            let link = engine.registry.link_between(&instances);
+            self.out.cache.saved_prefill_s += engine
+                .cost_model
+                .prefill_cost(&[tokens], parallel, link)
+                .total();
+        }
+        let state = self.table.get(prefill_request).expect("known request");
+        let reused = state.reused;
+        let chunk = chunk_tokens.min(state.effective_input() - prefilled);
+        if chunk == 0 {
+            return;
+        }
+        let needed = chunk + decode_requests.len() as u64;
+        self.evict_for(&instances, needed, now, sink);
+        // Reserve KV for the chunk on the executing instances.
+        let Some(placement) = self.pool.plan(
+            prefill_request,
+            chunk,
+            &instances,
+            PlacementStrategy::PackMostFree,
+        ) else {
+            return;
+        };
+        if self.pool.commit(&placement).is_err() {
+            return;
+        }
+        let decode_batch = self.decode_ready(&decode_requests);
+        let decode_lens: Vec<u64> = decode_batch.iter().map(|&(_, len)| len).collect();
+        // Append the decode tokens on the first instance.
+        let master = instances[0];
+        let decode_ok: Vec<RequestId> = decode_batch
+            .iter()
+            .map(|&(id, _)| id)
+            .filter(|&id| self.pool.append(id, master, 1).is_ok())
+            .collect();
+        let parallel = ParallelConfig::new(engine.registry.tp(), instances.len());
+        let link = engine.registry.link_between(&instances);
+        // Adopted tokens are real context: the chunk's attention still
+        // spans them, it just skips their KV computation (zero extra term
+        // when reused = 0).
+        let cost = engine.cost_model.chunked_prefill_cost(
+            chunk,
+            prefilled + reused,
+            &decode_lens,
+            parallel,
+            link,
+        );
+        self.out.iterations += 1;
+        self.out.prefilled_tokens += chunk;
+        if let Some(s) = self.table.get_mut(prefill_request) {
+            s.prefill_start.get_or_insert(now);
+            self.set_phase(prefill_request, Phase::Prefilling, now, sink);
+        }
+        self.begin_decoding(&decode_ok, now, sink);
+        self.start(
+            now + SimDuration::from_secs(cost.total()),
+            Work::ChunkedPrefill {
+                instances,
+                prefill_request,
+                prefilled_after: prefilled + chunk,
+                decode_requests: decode_ok,
+            },
+        );
+    }
+
+    fn migrate<S: Scheduler + ?Sized>(
+        &mut self,
+        engine: &ServingEngine<S>,
+        request: RequestId,
+        targets: Vec<InstanceId>,
+        now: SimTime,
+        sink: &mut dyn TraceSink,
+    ) {
+        let Some(&Phase::DecodeReady { generated }) = self.phase_of(request) else {
+            return;
+        };
+        self.evict_for(&targets, self.pool.tokens_of(request), now, sink);
+        let Ok(summary) = migrate_request(
+            request,
+            &targets,
+            &mut self.pool,
+            &engine.cost_model,
+            &engine.registry,
+        ) else {
+            return;
+        };
+        self.out.migration_bytes += summary.total_bytes;
+        self.set_phase(request, Phase::Migrating { generated }, now, sink);
+        self.table
+            .get_mut(request)
+            .expect("known request")
+            .preemptions += 1;
+        let done = now + SimDuration::from_secs(summary.time_s.max(1e-6));
+        self.start(done, Work::Migration { request });
+    }
+
+    fn preempt(&mut self, request: RequestId, now: SimTime, sink: &mut dyn TraceSink) {
+        let Some(&Phase::DecodeReady { generated }) = self.phase_of(request) else {
+            return;
+        };
+        // Discard the KV and send the request back to the pending queue; it
+        // keeps its admission rank, so it re-prefills in FCFS position once
+        // pressure clears. The checkpoint makes the next prefill recompute
+        // prompt + generated KV and decoding resume in place, so each
+        // output token is generated exactly once (vLLM's recompute
+        // semantics).
+        self.pool.release(request);
+        sink.on_preempted(now, request);
+        self.set_phase(request, Phase::Pending { prefilled: 0 }, now, sink);
+        let state = self.table.get_mut(request).expect("known request");
+        state.resume_generated = generated;
+        // Any adopted prefix KV was just discarded with the rest; the
+        // recompute prefill covers it again.
+        state.reused = 0;
+        state.preemptions += 1;
+        self.out.pressure.preemptions += 1;
+        // Freeing memory schedules no work of its own; the epsilon event
+        // guarantees a next scheduling point that sees the freed slots.
+        self.start(now + SimDuration::from_secs(1e-6), Work::Preempt);
+    }
+
+    fn swap_out(&mut self, request: RequestId, now: SimTime, sink: &mut dyn TraceSink) {
+        let Some(&Phase::DecodeReady { generated }) = self.phase_of(request) else {
+            return;
+        };
+        let Some(link) = self.host_link else {
+            return;
+        };
+        let Ok(tokens) = self.pool.swap_out(request) else {
+            return;
+        };
+        // Device slots free immediately (the DMA drains asynchronously);
+        // the request itself stalls for the D2H transfer before it is
+        // parked.
+        let bytes = tokens as f64 * self.kv_bytes_per_token;
+        let transfer_s = link.transfer_time(bytes).max(1e-6);
+        self.set_phase(request, Phase::SwappingOut { generated }, now, sink);
+        let stats = &mut self.out.pressure;
+        stats.swap_out_events += 1;
+        stats.swap_out_bytes += bytes;
+        stats.swap_stall_s += transfer_s;
+        stats.max_outstanding_swapped_tokens = stats
+            .max_outstanding_swapped_tokens
+            .max(self.pool.total_swapped());
+        self.start(
+            now + SimDuration::from_secs(transfer_s),
+            Work::SwapOut { request },
+        );
+    }
+
+    fn swap_in(
+        &mut self,
+        request: RequestId,
+        targets: Vec<InstanceId>,
+        now: SimTime,
+        sink: &mut dyn TraceSink,
+    ) {
+        let Some(&Phase::Swapped { generated }) = self.phase_of(request) else {
+            return;
+        };
+        let Some(link) = self.host_link else {
+            return;
+        };
+        self.evict_for(&targets, self.pool.swapped_tokens_of(request), now, sink);
+        let Ok(tokens) = self
+            .pool
+            .swap_in(request, &targets, PlacementStrategy::PackMostFree)
+        else {
+            return;
+        };
+        // Device slots are reserved now (no oversubscription while the H2D
+        // transfer is in flight); the request resumes decoding when it
+        // completes.
+        let bytes = tokens as f64 * self.kv_bytes_per_token;
+        let transfer_s = link.transfer_time(bytes).max(1e-6);
+        self.set_phase(request, Phase::SwappingIn { generated }, now, sink);
+        self.out.pressure.swap_in_events += 1;
+        self.out.pressure.swap_in_bytes += bytes;
+        self.out.pressure.swap_stall_s += transfer_s;
+        self.start(
+            now + SimDuration::from_secs(transfer_s),
+            Work::SwapIn { request },
+        );
+    }
+
+    /// The phase of `id`, if the sim holds it.
+    fn phase_of(&self, id: RequestId) -> Option<&Phase> {
+        self.table.get(id).map(|s| &s.phase)
+    }
+
+    /// True when none of `instances` is busy or already claimed at this
+    /// scheduling point.
+    fn free(&self, instances: &[InstanceId]) -> bool {
+        instances
+            .iter()
+            .all(|i| !self.claimed.contains(i) && self.scratch.idle.contains(i))
+    }
+
+    /// The decode-ready requests among `ids`, with their context lengths.
+    fn decode_ready(&self, ids: &[RequestId]) -> Vec<(RequestId, u64)> {
+        ids.iter()
+            .filter_map(|&id| {
+                let s = self.table.get(id)?;
+                match s.phase {
+                    Phase::DecodeReady { generated } => Some((id, s.request.input_len + generated)),
+                    _ => None,
+                }
+            })
+            .collect()
+    }
+
+    /// Moves the decode-ready requests among `ids` into a decode iteration.
+    fn begin_decoding(&mut self, ids: &[RequestId], now: SimTime, sink: &mut dyn TraceSink) {
+        for &id in ids {
+            if let Some(&Phase::DecodeReady { generated }) = self.phase_of(id) {
+                self.set_phase(id, Phase::Decoding { generated }, now, sink);
+            }
+        }
+    }
+
+    /// Dispatches `work` to finish at `done`, claiming its instances.
+    fn start(&mut self, done: SimTime, work: Work) {
+        for &inst in work.instances() {
+            self.instances_state.dispatch(inst, done);
+            self.claimed.push(inst);
+        }
+        let wid = self.work_ids.next().raw();
+        self.in_flight.insert(wid, work);
+        self.work.push(done, wid);
+    }
+
+    /// Releases `id`'s pin on its conversation's cached prefix, if it
+    /// still holds one, returning the conversation.
+    fn stop_waiting(&mut self, id: RequestId) -> Option<ConversationId> {
+        let s = self.table.get_mut(id).filter(|s| s.waiting)?;
+        s.waiting = false;
+        let conversation = s
+            .request
+            .conversation
+            .expect("waiting requests have a conversation");
+        self.pool.prefix_waiter_drop(conversation);
+        Some(conversation)
+    }
+
+    /// The prefix-cache lookup at `id`'s first prefill dispatch (hit or
+    /// miss, it happens once): on a hit the cached slots are renamed to
+    /// `id` in place. Returns `(prompt, adopted tokens)` on a hit.
+    fn adopt_prefix(
+        &mut self,
+        id: RequestId,
+        now: SimTime,
+        sink: &mut dyn TraceSink,
+    ) -> Option<(u64, u64)> {
+        let conversation = self.stop_waiting(id)?;
+        self.out.cache.lookups += 1;
+        let s = self.table.get_mut(id).expect("known request");
+        let prompt = s.effective_input();
+        let tokens = self.pool.prefix_adopt(id, conversation, prompt)?;
+        s.reused = tokens;
+        self.out.cache.hits += 1;
+        self.out.cache.reused_tokens += tokens;
+        sink.on_cache_adopt(now, id, tokens);
+        Some((prompt, tokens))
+    }
+
+    /// Evicts cached prefixes until `instances` have `needed` free slots
+    /// (a no-op with the tier disabled).
+    fn evict_for(
+        &mut self,
+        instances: &[InstanceId],
+        needed: u64,
+        now: SimTime,
+        sink: &mut dyn TraceSink,
+    ) {
+        if self.cache_on {
+            let evicted = self.pool.prefix_evict_for_instances(instances, needed);
+            self.note_evictions(evicted, now, sink);
+        }
+    }
+
+    fn note_evictions(
+        &mut self,
+        (entries, tokens): (u64, u64),
+        now: SimTime,
+        sink: &mut dyn TraceSink,
+    ) {
+        self.out.cache.evicted_entries += entries;
+        self.out.cache.evicted_tokens += tokens;
+        if entries > 0 {
+            sink.on_cache_evict(now, entries, tokens);
         }
     }
 
     /// Applies the effects of a completed piece of work, updating the phase
     /// indices and the idle/busy partition as it goes.
-    #[allow(clippy::too_many_arguments)]
-    fn complete_work(
-        work: Work,
-        now: SimTime,
-        table: &mut RequestTable<RequestState>,
-        pool: &mut UnifiedKvPool,
-        instances_state: &mut InstanceTracker,
-        decode_stats: &mut DecodeLatencyStats,
-        cache_stats: &mut CacheStats,
-        sink: &mut dyn TraceSink,
-    ) {
+    fn complete_work(&mut self, work: Work, now: SimTime, sink: &mut dyn TraceSink) {
+        for &inst in work.instances() {
+            self.instances_state.complete(inst);
+        }
         match work {
-            Work::Prefill {
-                instances,
-                requests,
-            } => {
-                for inst in instances {
-                    instances_state.complete(inst);
-                }
+            Work::Prefill { requests, .. } => {
                 for id in requests {
-                    let s = table.get_mut(id).expect("known request");
-                    s.first_token.get_or_insert(now);
-                    // The prefill produced the first output token — or, for
-                    // a recompute eviction, rebuilt the KV up to the
-                    // checkpoint so decoding resumes there.
-                    let generated = s.resume_generated.max(1);
-                    if s.request.output_len <= generated {
-                        Self::finish_request(table, id, now, pool, decode_stats, cache_stats, sink);
-                    } else {
-                        set_phase(table, id, Phase::DecodeReady { generated }, now, sink);
-                    }
+                    self.prompt_done(id, now, sink);
                 }
             }
-            Work::Decode {
-                instances,
-                requests,
-            } => {
-                for inst in instances {
-                    instances_state.complete(inst);
-                }
+            Work::Decode { requests, .. } => {
                 for id in requests {
-                    Self::advance_decode(table, id, now, pool, decode_stats, cache_stats, sink);
+                    self.advance_decode(id, now, sink);
                 }
             }
             Work::ChunkedPrefill {
-                instances,
                 prefill_request,
                 prefilled_after,
                 decode_requests,
+                ..
             } => {
-                for inst in instances {
-                    instances_state.complete(inst);
-                }
-                let s = table.get_mut(prefill_request).expect("known request");
-                // Advance the prompt; if it is done, the first token is out
-                // (or, after a recompute eviction, the checkpoint is
-                // rebuilt and decoding resumes there).
-                let effective_input = s.effective_input();
-                let prefilled = prefilled_after.min(effective_input);
-                if prefilled >= effective_input {
-                    s.first_token.get_or_insert(now);
-                    let generated = s.resume_generated.max(1);
-                    if s.request.output_len <= generated {
-                        Self::finish_request(
-                            table,
-                            prefill_request,
-                            now,
-                            pool,
-                            decode_stats,
-                            cache_stats,
-                            sink,
-                        );
-                    } else {
-                        set_phase(
-                            table,
-                            prefill_request,
-                            Phase::DecodeReady { generated },
-                            now,
-                            sink,
-                        );
-                    }
+                let effective_input = self
+                    .table
+                    .get(prefill_request)
+                    .expect("known request")
+                    .effective_input();
+                if prefilled_after >= effective_input {
+                    self.prompt_done(prefill_request, now, sink);
                 } else {
-                    set_phase(
-                        table,
-                        prefill_request,
-                        Phase::Pending { prefilled },
-                        now,
-                        sink,
-                    );
+                    let phase = Phase::Pending {
+                        prefilled: prefilled_after,
+                    };
+                    self.set_phase(prefill_request, phase, now, sink);
                 }
                 for id in decode_requests {
-                    Self::advance_decode(table, id, now, pool, decode_stats, cache_stats, sink);
+                    self.advance_decode(id, now, sink);
                 }
             }
             Work::Migration { request } => {
-                if let Some(Phase::Migrating { generated }) = table.get(request).map(|s| &s.phase) {
-                    let generated = *generated;
-                    set_phase(table, request, Phase::DecodeReady { generated }, now, sink);
+                if let Some(&Phase::Migrating { generated }) = self.phase_of(request) {
+                    self.set_phase(request, Phase::DecodeReady { generated }, now, sink);
                 }
             }
             // The phase was reset at action time; the event only forced a
             // scheduling point.
             Work::Preempt => {}
             Work::SwapOut { request } => {
-                if let Some(Phase::SwappingOut { generated }) = table.get(request).map(|s| &s.phase)
-                {
-                    let generated = *generated;
-                    set_phase(table, request, Phase::Swapped { generated }, now, sink);
+                if let Some(&Phase::SwappingOut { generated }) = self.phase_of(request) {
+                    self.set_phase(request, Phase::Swapped { generated }, now, sink);
                 }
             }
             Work::SwapIn { request } => {
-                if let Some(Phase::SwappingIn { generated }) = table.get(request).map(|s| &s.phase)
-                {
-                    let generated = *generated;
-                    set_phase(table, request, Phase::DecodeReady { generated }, now, sink);
+                if let Some(&Phase::SwappingIn { generated }) = self.phase_of(request) {
+                    self.set_phase(request, Phase::DecodeReady { generated }, now, sink);
                 }
             }
+        }
+    }
+
+    /// `id`'s prompt is fully prefilled: the first output token is out —
+    /// or, for a recompute eviction, the KV is rebuilt up to the
+    /// checkpoint so decoding resumes there.
+    fn prompt_done(&mut self, id: RequestId, now: SimTime, sink: &mut dyn TraceSink) {
+        let s = self.table.get_mut(id).expect("known request");
+        s.first_token.get_or_insert(now);
+        let generated = s.resume_generated.max(1);
+        if s.request.output_len <= generated {
+            self.finish_request(id, now, sink);
+        } else {
+            self.set_phase(id, Phase::DecodeReady { generated }, now, sink);
         }
     }
 
     /// One decode iteration completed for `id`: emit a token, finishing the
     /// request if that was the last one.
-    #[allow(clippy::too_many_arguments)]
-    fn advance_decode(
-        table: &mut RequestTable<RequestState>,
-        id: RequestId,
-        now: SimTime,
-        pool: &mut UnifiedKvPool,
-        decode_stats: &mut DecodeLatencyStats,
-        cache_stats: &mut CacheStats,
-        sink: &mut dyn TraceSink,
-    ) {
-        let s = table.get(id).expect("known request");
+    fn advance_decode(&mut self, id: RequestId, now: SimTime, sink: &mut dyn TraceSink) {
+        let s = self.table.get(id).expect("known request");
         if let Phase::Decoding { generated } = s.phase {
             let generated = generated + 1;
             if generated >= s.request.output_len {
-                Self::finish_request(table, id, now, pool, decode_stats, cache_stats, sink);
+                self.finish_request(id, now, sink);
             } else {
-                set_phase(table, id, Phase::DecodeReady { generated }, now, sink);
+                self.set_phase(id, Phase::DecodeReady { generated }, now, sink);
             }
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn finish_request(
-        table: &mut RequestTable<RequestState>,
-        id: RequestId,
-        now: SimTime,
-        pool: &mut UnifiedKvPool,
-        decode_stats: &mut DecodeLatencyStats,
-        cache_stats: &mut CacheStats,
-        sink: &mut dyn TraceSink,
-    ) {
-        let state = table.get_mut(id).expect("known request");
+    fn finish_request(&mut self, id: RequestId, now: SimTime, sink: &mut dyn TraceSink) {
+        let state = self.table.get_mut(id).expect("known request");
         state.finish = Some(now);
         let first_token = state.first_token;
         let conversation = state.request.conversation;
-        set_phase(table, id, Phase::Finished, now, sink);
+        self.unresolved_tokens -= state.request.input_len + state.request.max_output_len;
+        self.finished.push(id);
+        self.set_phase(id, Phase::Finished, now, sink);
         if let Some(ft) = first_token {
-            decode_stats.record(now.saturating_since(ft).as_secs());
+            self.decode_stats.record(now.saturating_since(ft).as_secs());
         }
         // With the prefix cache enabled, a conversation turn's full context
         // (prompt + generated KV) is retained in place — it is exactly the
         // shared history the next turn's prompt extends. Everything else
         // releases as before.
         match conversation {
-            Some(conversation) if pool.prefix_enabled() => {
-                let retained = pool.prefix_retain(id, conversation, now);
+            Some(conversation) if self.pool.prefix_enabled() => {
+                let retained = self.pool.prefix_retain(id, conversation, now);
                 if retained > 0 {
-                    let total = pool.prefix().expect("enabled").retained_tokens();
-                    cache_stats.retained_tokens_high_water =
-                        cache_stats.retained_tokens_high_water.max(total);
+                    let total = self.pool.prefix().expect("enabled").retained_tokens();
+                    self.out.cache.retained_tokens_high_water =
+                        self.out.cache.retained_tokens_high_water.max(total);
                 }
             }
             _ => {
-                pool.release(id);
+                self.pool.release(id);
+            }
+        }
+    }
+}
+
+/// The record of a request that completed.
+fn record_of(s: &RequestState) -> RequestRecord {
+    completion_record(
+        s,
+        s.first_token
+            .expect("finished requests produced a first token"),
+        s.finish.expect("finished requests finished"),
+    )
+}
+
+/// The record of a request completing at `finish`.
+fn completion_record(s: &RequestState, first_token: SimTime, finish: SimTime) -> RequestRecord {
+    RequestRecord {
+        id: s.request.id,
+        arrival: s.request.arrival,
+        input_len: s.request.input_len,
+        output_len: s.request.output_len,
+        prefill_start: s.prefill_start.expect("finished requests started prefill"),
+        first_token,
+        finish,
+        preemptions: s.preemptions,
+        class: s.request.class,
+    }
+}
+
+impl Work {
+    /// The instances this work occupies until it completes.
+    fn instances(&self) -> &[InstanceId] {
+        match self {
+            Work::Prefill { instances, .. }
+            | Work::Decode { instances, .. }
+            | Work::ChunkedPrefill { instances, .. } => instances,
+            Work::Migration { .. } | Work::Preempt | Work::SwapOut { .. } | Work::SwapIn { .. } => {
+                &[]
+            }
+        }
+    }
+
+    /// The requests this work completes when it finishes — exactly the ones
+    /// [`SimState::complete_work`] will finish, computed without touching
+    /// any state.
+    fn finishing(&self, table: &RequestTable<RequestState>) -> Vec<RequestId> {
+        let decoded_last = |id: &RequestId| {
+            let s = table.get(*id).expect("known request");
+            matches!(s.phase, Phase::Decoding { generated } if generated + 1 >= s.request.output_len)
+        };
+        let prefilled_last = |id: RequestId| {
+            let s = table.get(id).expect("known request");
+            s.request.output_len <= s.resume_generated.max(1)
+        };
+        match self {
+            Work::Prefill { requests, .. } => requests
+                .iter()
+                .copied()
+                .filter(|&id| prefilled_last(id))
+                .collect(),
+            Work::Decode { requests, .. } => {
+                requests.iter().copied().filter(decoded_last).collect()
+            }
+            Work::ChunkedPrefill {
+                prefill_request,
+                prefilled_after,
+                decode_requests,
+                ..
+            } => {
+                let s = table.get(*prefill_request).expect("known request");
+                let prompt_done = *prefilled_after >= s.effective_input();
+                let mut ids: Vec<RequestId> = decode_requests
+                    .iter()
+                    .copied()
+                    .filter(decoded_last)
+                    .collect();
+                if prompt_done && prefilled_last(*prefill_request) {
+                    ids.push(*prefill_request);
+                }
+                ids
+            }
+            Work::Migration { .. } | Work::Preempt | Work::SwapOut { .. } | Work::SwapIn { .. } => {
+                Vec::new()
             }
         }
     }

@@ -7,81 +7,71 @@
 //! such replicas behind a dispatcher, the same tier DistServe assumes
 //! above its prefill/decode pools. [`FleetEngine`] is that tier.
 //!
-//! A fleet run has three phases:
+//! # Execution model: one loop over live replicas
 //!
-//! 1. **Route.** Requests are walked in arrival order; the configured
-//!    [`Router`] policy assigns each to a replica using the fleet's
-//!    incrementally maintained [`FleetLoadTracker`] — O(1) bookkeeping per
-//!    assignment, O(replicas) per decision, never a scan of any replica's
-//!    request table. The engine-level O(active) invariant holds at fleet
-//!    scope.
-//! 2. **Serve.** The trace is split into per-replica sub-traces
-//!    ([`Trace::split_by_assignment`]) and each replica — an independent
-//!    [`ServingEngine`] built exactly as the single-engine path builds it —
-//!    replays its sub-trace. Replicas share nothing, so they can run on
-//!    worker threads without perturbing determinism.
-//! 3. **Merge.** Per-replica [`RunOutcome`]s are merged into a
-//!    [`FleetOutcome`]: records and rejections in request-id order,
-//!    counters summed, simulated time maximised. A 1-replica fleet under
-//!    the passthrough router reproduces the bare engine's outcome bit for
-//!    bit (`tests/fleet_equivalence.rs` pins this).
+//! Every fleet run — plain, under failure injection
+//! ([`FleetEngine::run_reliable`]) or elastic
+//! ([`FleetEngine::run_elastic`]) — is one loop over live
+//! [`ReplicaSim`]s, one per replica slot:
 //!
-//! Every policy is deterministic with sorted tie-breaking, so
-//! identically-seeded fleet runs are bit-for-bit reproducible.
+//! 1. **Route.** Arrivals (and crash retries) are walked in
+//!    `(arrival, id)` order; the configured [`Router`] assigns each to a
+//!    routable replica using the fleet's incrementally maintained
+//!    [`FleetLoadTracker`], and the request is injected into that
+//!    replica's live sim at once. Routing is open-loop: it never waits for
+//!    a replica to catch up.
+//! 2. **Sync at boundaries only.** Replicas advance only when something
+//!    needs their state: a crash advances the crashing replica through the
+//!    crash instant and takes its unresolved requests as casualties; a
+//!    control instant advances the routable replicas to just before it and
+//!    reads their backlog and window completions; a scale-down drains its
+//!    victim at once. Every iteration is executed exactly once.
+//! 3. **Merge.** After the last arrival every live sim runs to completion
+//!    and the per-replica [`RunOutcome`]s — one segment per crash or drain,
+//!    plus the last — merge into a [`FleetOutcome`]: records and
+//!    rejections in request-id order, counters summed, simulated time
+//!    maximised. A 1-replica fleet under the passthrough router reproduces
+//!    the bare engine's outcome bit for bit (`tests/fleet_equivalence.rs`
+//!    pins this).
+//!
+//! Replicas share nothing between boundaries, so with
+//! [`FleetConfig::parallel`] the replicas advancing to a boundary run on
+//! the bounded worker pool; settlement stays serial in replica-id order,
+//! which keeps pooled runs bit-for-bit serial. Every policy is
+//! deterministic with sorted tie-breaking, so identically-seeded fleet runs
+//! are bit-for-bit reproducible.
 
-use crate::engine::RunOutcome;
+use crate::elastic::{ElasticConfig, FleetScaleEvent, ShedRequest};
+use crate::engine::{ReplicaSim, RunOutcome, ServingEngine};
+use crate::reliability::FailedRequest;
 use crate::systems::{PressureMode, SystemKind, SystemUnderTest};
 use loong_cluster::topology::ClusterSpec;
 use loong_kvcache::prefix::PrefixCacheConfig;
 use loong_metrics::cache::CacheStats;
+use loong_metrics::elasticity::ElasticityStats;
 use loong_metrics::fleet::FleetSummary;
 use loong_metrics::pressure::PressureStats;
 use loong_metrics::record::RequestRecord;
+use loong_metrics::reliability::ReliabilityStats;
 use loong_metrics::slo::SloSpec;
 use loong_model::attention::AttentionCostPolicy;
 use loong_model::config::ModelConfig;
-use loong_sched::router::{all_replicas, FleetLoadTracker, RouteRequest, Router, RouterPolicy};
+use loong_sched::elastic::{AdmissionController, Autoscaler};
+use loong_sched::reliability::{
+    healthy_candidates, CircuitBreaker, CircuitBreakerConfig, RetryPolicy,
+};
+use loong_sched::router::{FleetLoadTracker, RouteRequest, Router, RouterPolicy};
+use loong_sched::types::Scheduler;
 use loong_simcore::ids::{ReplicaId, RequestId};
-use loong_simcore::pool::run_indexed;
+use loong_simcore::pool::run_each_mut;
 use loong_simcore::time::SimTime;
-use loong_trace::{TraceConfig, TraceRecorder};
+use loong_trace::{NoopSink, TraceConfig, TraceRecorder, TraceSink};
+use loong_workload::failure::FailureSchedule;
 use loong_workload::request::Request;
 use loong_workload::stream::TraceStream;
 use loong_workload::trace::Trace;
-use std::collections::BTreeSet;
-
-/// Snapshot of the tracing state a pooled segment closure needs: the
-/// recorder's config plus the ever-retried id set. `None` when the run is
-/// untraced, so the no-recorder path builds no child recorders at all.
-pub(crate) type TraceSeed = Option<(TraceConfig, BTreeSet<u64>)>;
-
-/// Captures the [`TraceSeed`] of an optional parent recorder.
-pub(crate) fn trace_seed(recorder: &Option<&mut TraceRecorder>) -> TraceSeed {
-    recorder
-        .as_ref()
-        .map(|r| (r.config(), r.retried_snapshot()))
-}
-
-/// Runs one replica segment on a fresh engine — traced through a child
-/// recorder when `seed` is armed, plain otherwise. Pure in both modes (the
-/// sink only observes already-made decisions), so segments can run on the
-/// worker pool; the caller absorbs returned children serially in replica
-/// order, which keeps recording deterministic.
-pub(crate) fn run_segment_traced(
-    system: &SystemUnderTest,
-    sub: &Trace,
-    seed: &TraceSeed,
-) -> (RunOutcome, Option<TraceRecorder>) {
-    let mut engine = system.build_engine(Some(sub));
-    match seed {
-        Some((cfg, retried)) => {
-            let mut child = TraceRecorder::segment(*cfg, retried);
-            let outcome = engine.run_traced(sub, &mut child);
-            (outcome, Some(child))
-        }
-        None => (engine.run(sub), None),
-    }
-}
+use std::collections::{BTreeMap, BTreeSet};
+use std::iter::Peekable;
 
 /// Static configuration of a fleet run.
 #[derive(Debug, Clone)]
@@ -114,10 +104,10 @@ pub struct FleetConfig {
     /// Attention-cost policy of every replica's cost model (`Dense` keeps
     /// the fleet bit-for-bit on the pre-policy path).
     pub attention: AttentionCostPolicy,
-    /// Run replicas on a bounded worker pool, capped at the host's
+    /// Advance replicas on a bounded worker pool, capped at the host's
     /// available parallelism ([`loong_simcore::pool`]). Purely a
-    /// wall-clock choice: replicas are independent and the pool merges in
-    /// replica-id order, so the outcome is identical either way.
+    /// wall-clock choice: replicas are independent between boundaries and
+    /// settle in replica-id order, so the outcome is identical either way.
     pub parallel: bool,
 }
 
@@ -166,19 +156,12 @@ impl FleetConfig {
 pub struct FleetFootprint {
     /// Requests pulled from the stream over the whole run.
     pub streamed_requests: usize,
-    /// Peak requests resident in the frontend at any instant: routed
-    /// bucket entries not yet handed to a replica engine, plus crash
-    /// retries awaiting their backoff. Era boundaries flush buckets, so
-    /// under a boundary-rich schedule this stays far below the stream
+    /// Peak requests resident at any instant: crash retries awaiting
+    /// their backoff, plus the requests injected into each live replica
+    /// since its last crash or drain (a replica's state restarts empty at
+    /// each). Under a crash-rich schedule this stays far below the stream
     /// length — the streamed paths' O(active + pending-retries) claim.
     pub peak_resident_requests: usize,
-}
-
-impl FleetFootprint {
-    /// Folds the current resident count into the peak.
-    pub(crate) fn on_resident(&mut self, resident: usize) {
-        self.peak_resident_requests = self.peak_resident_requests.max(resident);
-    }
 }
 
 /// The outcome of one replica within a fleet run.
@@ -309,32 +292,26 @@ impl FleetEngine {
     /// configuration and the trace: reusing one engine across traces
     /// cannot leak round-robin counters or probe-RNG state between runs.
     pub fn route(&mut self, trace: &Trace) -> Vec<usize> {
+        let none = FailureSchedule::none();
+        let policies = FleetPolicies::plain(&none);
         self.router = self.config.policy.build();
-        let mut tracker = FleetLoadTracker::new(self.config.replicas);
-        let all = all_replicas(self.config.replicas);
-        let mut assignment = Vec::with_capacity(trace.requests.len());
-        for req in &trace.requests {
-            let route_req = RouteRequest {
-                id: req.id,
-                arrival: req.arrival,
-                input_len: req.input_len,
-                max_output_len: req.max_output_len,
-                conversation: req.conversation,
-            };
-            let replica = self.router.route(&route_req, tracker.loads(), &all);
-            assert!(
-                replica.index() < self.config.replicas,
-                "router returned out-of-range {replica}"
-            );
-            tracker.on_assign(replica, &route_req);
-            assignment.push(replica.index());
-        }
-        assignment
+        let mut run = FleetLoop::new(
+            &self.config,
+            &mut *self.router,
+            &policies,
+            None,
+            [].into_iter(),
+        );
+        trace
+            .requests
+            .iter()
+            .map(|req| run.pick(req).0.index())
+            .collect()
     }
 
     /// Runs the fleet over a trace: route, serve every replica, merge.
     pub fn run(&mut self, trace: &Trace) -> FleetOutcome {
-        self.run_inner(trace, None)
+        self.run_plain(trace.requests.iter().cloned(), None).0
     }
 
     /// Runs the fleet with every replica observed by `recorder`. Identical
@@ -342,55 +319,18 @@ impl FleetEngine {
     /// receives copies of already-made decisions — with per-replica spans,
     /// timeseries and instants absorbed in replica-id order.
     pub fn run_traced(&mut self, trace: &Trace, recorder: &mut TraceRecorder) -> FleetOutcome {
-        let outcome = self.run_inner(trace, Some(recorder));
-        recorder.finalize(outcome.sim_time);
-        outcome
-    }
-
-    fn run_inner(
-        &mut self,
-        trace: &Trace,
-        mut recorder: Option<&mut TraceRecorder>,
-    ) -> FleetOutcome {
-        let assignment = self.route(trace);
-        let subs = trace.split_by_assignment(self.config.replicas, &assignment);
-        let assignments: Vec<(RequestId, ReplicaId)> = trace
-            .requests
-            .iter()
-            .zip(&assignment)
-            .map(|(req, &replica)| (req.id, ReplicaId::from(replica)))
-            .collect();
-
-        let system = self.config.replica_system();
-        let seed = trace_seed(&recorder);
-        let run_replica = |sub: &Trace| run_segment_traced(&system, sub, &seed);
-        let results: Vec<(RunOutcome, Option<TraceRecorder>)> = if self.config.parallel {
-            // Bounded pool, not thread-per-replica: a 64-replica fleet on a
-            // 8-core host runs 8 workers pulling replica indices, and the
-            // pool merges by index so the outcome is bit-for-bit serial.
-            run_indexed(subs.len(), |i| run_replica(&subs[i]))
-        } else {
-            subs.iter().map(run_replica).collect()
-        };
-        let mut outcomes = Vec::with_capacity(results.len());
-        for (r, (outcome, child)) in results.into_iter().enumerate() {
-            if let (Some(rec), Some(child)) = (recorder.as_deref_mut(), child) {
-                rec.merge_child(ReplicaId::from(r), child);
-            }
-            outcomes.push(outcome);
-        }
-
-        Self::merge(subs, outcomes, assignments)
+        self.run_plain(trace.requests.iter().cloned(), Some(recorder))
+            .0
     }
 
     /// Runs the fleet over a lazy request stream: requests are routed one
     /// at a time as they are pulled, so the frontend never materialises
-    /// the trace — only the per-replica buckets the engines need anyway.
-    /// Collecting the same stream and calling [`FleetEngine::run`] yields
-    /// a bit-for-bit identical [`FleetOutcome`]
-    /// (`tests/streaming_properties.rs` pins this across every policy).
+    /// the trace. Collecting the same stream and calling
+    /// [`FleetEngine::run`] yields a bit-for-bit identical
+    /// [`FleetOutcome`] (`tests/streaming_properties.rs` pins this across
+    /// every policy).
     pub fn run_stream(&mut self, stream: TraceStream) -> (FleetOutcome, FleetFootprint) {
-        self.run_stream_inner(stream, None)
+        self.run_plain(stream, None)
     }
 
     /// Streamed fleet run with every replica observed by `recorder` — the
@@ -400,112 +340,578 @@ impl FleetEngine {
         stream: TraceStream,
         recorder: &mut TraceRecorder,
     ) -> (FleetOutcome, FleetFootprint) {
-        let (outcome, footprint) = self.run_stream_inner(stream, Some(recorder));
-        recorder.finalize(outcome.sim_time);
-        (outcome, footprint)
+        self.run_plain(stream, Some(recorder))
     }
 
-    fn run_stream_inner(
+    fn run_plain(
         &mut self,
-        stream: TraceStream,
-        mut recorder: Option<&mut TraceRecorder>,
+        source: impl Iterator<Item = Request>,
+        recorder: Option<&mut TraceRecorder>,
     ) -> (FleetOutcome, FleetFootprint) {
-        let n = self.config.replicas;
-        let label = stream.label().to_string();
-        self.router = self.config.policy.build();
-        let mut tracker = FleetLoadTracker::new(n);
-        let all = all_replicas(n);
-        let mut buckets: Vec<Vec<Request>> = vec![Vec::new(); n];
-        let mut assignments: Vec<(RequestId, ReplicaId)> = Vec::new();
-        let mut footprint = FleetFootprint::default();
-        let mut resident = 0usize;
-        for req in stream {
-            let route_req = RouteRequest {
-                id: req.id,
-                arrival: req.arrival,
-                input_len: req.input_len,
-                max_output_len: req.max_output_len,
-                conversation: req.conversation,
-            };
-            let replica = self.router.route(&route_req, tracker.loads(), &all);
-            assert!(
-                replica.index() < n,
-                "router returned out-of-range {replica}"
-            );
-            tracker.on_assign(replica, &route_req);
-            assignments.push((req.id, replica));
-            buckets[replica.index()].push(req);
-            footprint.streamed_requests += 1;
-            resident += 1;
-            footprint.on_resident(resident);
-        }
-        // The buckets are exactly `split_by_assignment`'s sub-traces:
-        // arrival order is preserved by the in-order pushes.
-        let subs: Vec<Trace> = buckets
-            .into_iter()
-            .enumerate()
-            .map(|(r, requests)| Trace {
-                label: format!("{label} · replica {r}/{n}"),
-                requests,
-            })
-            .collect();
-        let system = self.config.replica_system();
-        let seed = trace_seed(&recorder);
-        let run_replica = |sub: &Trace| run_segment_traced(&system, sub, &seed);
-        let results: Vec<(RunOutcome, Option<TraceRecorder>)> = if self.config.parallel {
-            run_indexed(subs.len(), |i| run_replica(&subs[i]))
-        } else {
-            subs.iter().map(run_replica).collect()
-        };
-        let mut outcomes = Vec::with_capacity(results.len());
-        for (r, (outcome, child)) in results.into_iter().enumerate() {
-            if let (Some(rec), Some(child)) = (recorder.as_deref_mut(), child) {
-                rec.merge_child(ReplicaId::from(r), child);
-            }
-            outcomes.push(outcome);
-        }
-        (Self::merge(subs, outcomes, assignments), footprint)
+        let none = FailureSchedule::none();
+        let (fleet, run) = self.run_fleet(source, &FleetPolicies::plain(&none), recorder);
+        (fleet, run.footprint)
     }
 
-    /// Merges per-replica outcomes into the fleet outcome. Merge order is
-    /// deterministic: records and rejections sort by request id, counters
-    /// sum in replica-id order.
-    fn merge(
-        subs: Vec<Trace>,
-        outcomes: Vec<RunOutcome>,
-        assignments: Vec<(RequestId, ReplicaId)>,
-    ) -> FleetOutcome {
-        let mut records: Vec<RequestRecord> = Vec::new();
-        let mut rejected: Vec<(RequestId, String)> = Vec::new();
-        let mut unfinished = 0usize;
-        let mut sim_time = SimTime::ZERO;
-        let mut iterations = 0u64;
-        let mut migration_bytes = 0.0f64;
-        let mut scheduler_calls = 0u64;
-        let mut pressure = PressureStats::default();
-        let mut cache = CacheStats::default();
-        let mut per_replica = Vec::with_capacity(outcomes.len());
-        for (i, (sub, outcome)) in subs.into_iter().zip(outcomes).enumerate() {
-            records.extend(outcome.records.iter().copied());
-            rejected.extend(outcome.rejected.iter().cloned());
-            unfinished += outcome.unfinished;
-            sim_time = sim_time.max(outcome.sim_time);
-            iterations += outcome.iterations;
-            migration_bytes += outcome.migration_bytes;
-            scheduler_calls += outcome.scheduler_calls;
-            pressure.merge(&outcome.pressure);
-            cache.merge(&outcome.cache);
+    /// The one fleet loop behind every `run*` entry point: routes the
+    /// source (and crash retries) open-loop into live replicas, resolves
+    /// crashes and control instants as they come, and merges the replicas
+    /// once the last arrival is routed (then finalizes the recorder at the
+    /// makespan). See the module docs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the failure schedule strikes a replica outside the fleet.
+    pub(crate) fn run_fleet(
+        &mut self,
+        source: impl Iterator<Item = Request>,
+        policies: &FleetPolicies<'_>,
+        mut recorder: Option<&mut TraceRecorder>,
+    ) -> (FleetOutcome, FleetRun) {
+        let n = self.config.replicas;
+        if let Some(max) = policies.schedule.max_replica() {
+            assert!(
+                max.index() < n,
+                "failure schedule strikes {max}, but the fleet has {n} replicas"
+            );
+        }
+        // Fresh router per run, exactly as `route()` does.
+        self.router = self.config.policy.build();
+        let mut run = FleetLoop::new(
+            &self.config,
+            &mut *self.router,
+            policies,
+            recorder.as_ref().map(|r| r.config()),
+            source,
+        );
+
+        let crash_times = policies.schedule.crash_times();
+        let control = policies
+            .elastic
+            .filter(|cfg| cfg.autoscaler.is_elastic() || cfg.admission.is_some());
+        let mut ci = 0usize;
+        let mut k = 1u64;
+        loop {
+            // Controllers that cannot possibly act skip control instants
+            // entirely; the rest run one every interval while arrivals (or
+            // pending retries) remain.
+            let more_work = run.source.peek().is_some() || !run.pending.is_empty();
+            let next_control = control
+                .filter(|_| more_work)
+                .map(|cfg| SimTime::from_secs(k as f64 * cfg.autoscaler.control_interval_s));
+            let next_crash = crash_times.get(ci).copied();
+            let b = match (next_crash, next_control) {
+                (None, None) => break,
+                (Some(c), None) => c,
+                (None, Some(t)) => t,
+                (Some(c), Some(t)) => c.min(t),
+            };
+            run.route_before(Some(b), recorder.as_deref_mut());
+            // At a shared instant crashes resolve first: the control
+            // observation then sees the post-crash fleet.
+            if next_crash == Some(b) {
+                run.crash_boundary(b, recorder.as_deref_mut());
+                ci += 1;
+            }
+            if let Some(cfg) = control.filter(|_| next_control == Some(b)) {
+                run.control_boundary(b, cfg, recorder.as_deref_mut());
+                k += 1;
+            }
+        }
+        run.route_before(None, recorder.as_deref_mut());
+        let (fleet, run) = run.finish(recorder.as_deref_mut());
+        if let Some(rec) = recorder {
+            rec.finalize(fleet.sim_time);
+        }
+        (fleet, run)
+    }
+}
+
+/// What a fleet run composes on top of routing.
+pub(crate) struct FleetPolicies<'a> {
+    /// When replicas crash and recover ([`FailureSchedule::none`] for
+    /// none).
+    pub schedule: &'a FailureSchedule,
+    /// What a crash casualty gets.
+    pub retry: RetryPolicy,
+    /// The per-replica circuit breaker, if armed.
+    pub breaker: Option<CircuitBreakerConfig>,
+    /// The autoscaler and admission controller, if the run is elastic.
+    pub elastic: Option<&'a ElasticConfig>,
+}
+
+impl<'a> FleetPolicies<'a> {
+    /// A plain run: every replica always up and routable.
+    fn plain(none: &'a FailureSchedule) -> Self {
+        FleetPolicies {
+            schedule: none,
+            retry: RetryPolicy::none(),
+            breaker: None,
+            elastic: None,
+        }
+    }
+}
+
+/// The frontend ledgers of a fleet run, next to its [`FleetOutcome`];
+/// each entry point keeps the parts its outcome type carries.
+#[derive(Default)]
+pub(crate) struct FleetRun {
+    pub failed: Vec<FailedRequest>,
+    pub shed: Vec<ShedRequest>,
+    pub scale_events: Vec<FleetScaleEvent>,
+    pub route_instants: Vec<SimTime>,
+    pub elasticity: ElasticityStats,
+    pub reliability: ReliabilityStats,
+    pub footprint: FleetFootprint,
+}
+
+/// Lifecycle of one fleet slot.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Life {
+    /// Provisioned but never activated: no capacity cost, not routable.
+    Cold,
+    /// Active. Routable from `since` (activation instant, or the end of
+    /// the provisioning delay for a scale-up).
+    Active { since: SimTime },
+    /// Drained and retired at `at`; re-activatable by a later scale-up.
+    Retired { at: SimTime },
+}
+
+/// A fleet replica's live sim. Its scheduler is `Send`, so replicas can
+/// advance on the worker pool.
+pub(crate) type LiveSim = ReplicaSim<Box<ServingEngine<dyn Scheduler + Send>>>;
+
+/// One replica slot: its live sim (built at the first injection after the
+/// slot starts or restarts, so cold and idle slots cost nothing), the
+/// recorder observing that sim in traced runs, and the outcome merged from
+/// its finished segments.
+#[derive(Default)]
+pub(crate) struct Slot {
+    live: Option<(LiveSim, Option<TraceRecorder>)>,
+    merged: Option<RunOutcome>,
+}
+
+/// Advances one live replica with its own recorder as the sink.
+fn with_sink<R>(
+    live: &mut (LiveSim, Option<TraceRecorder>),
+    f: impl FnOnce(&mut LiveSim, &mut dyn TraceSink) -> R,
+) -> R {
+    let (sim, child) = live;
+    match child {
+        Some(child) => f(sim, child),
+        None => f(sim, &mut NoopSink),
+    }
+}
+
+/// Mutable state of one fleet run.
+pub(crate) struct FleetLoop<'a, I: Iterator<Item = Request>> {
+    pub(crate) n: usize,
+    pub(crate) policies: &'a FleetPolicies<'a>,
+    system: SystemUnderTest,
+    parallel: bool,
+    trace_config: Option<TraceConfig>,
+    pub(crate) router: &'a mut dyn Router,
+    pub(crate) source: Peekable<I>,
+    pub(crate) life: Vec<Life>,
+    tracker: FleetLoadTracker,
+    breaker: Option<CircuitBreaker>,
+    pub(crate) admission: Option<AdmissionController>,
+    pub(crate) autoscaler: Option<Autoscaler>,
+    pub(crate) slots: Vec<Slot>,
+    assignments: Vec<(RequestId, ReplicaId)>,
+    assigned: Vec<usize>,
+    /// Retries waiting for their backoff to elapse, keyed by
+    /// (re-arrival, id) — the deterministic interleave order with
+    /// original arrivals. The value carries the attempt count consumed.
+    pub(crate) pending: BTreeMap<(SimTime, RequestId), (Request, u32)>,
+    retries_used: BTreeMap<RequestId, u32>,
+    casualty_ids: BTreeSet<RequestId>,
+    /// The ledgers the run returns.
+    pub(crate) out: FleetRun,
+    /// Pending retries plus requests injected into live replicas since
+    /// their last crash or drain.
+    resident: usize,
+    /// Fleet-wide unresolved backlog measured at the last control
+    /// instant; the admission controller's saturation baseline.
+    pub(crate) last_observed_backlog: u64,
+    /// Worst-case tokens routed since that observation — the running
+    /// correction that lets admission react *between* control instants.
+    pub(crate) routed_since_observation: u64,
+    /// Accumulated active span per replica (activation to retirement), in
+    /// sim-seconds; still-active spans are closed at the makespan.
+    pub(crate) active_spans_s: Vec<f64>,
+}
+
+impl<'a, I: Iterator<Item = Request>> FleetLoop<'a, I> {
+    fn new(
+        config: &FleetConfig,
+        router: &'a mut dyn Router,
+        policies: &'a FleetPolicies<'a>,
+        trace_config: Option<TraceConfig>,
+        source: I,
+    ) -> Self {
+        let n = config.replicas;
+        let initial = policies.elastic.map_or(n, |cfg| cfg.initial_replicas);
+        FleetLoop {
+            n,
+            policies,
+            system: config.replica_system(),
+            parallel: config.parallel,
+            trace_config,
+            router,
+            source: source.peekable(),
+            life: (0..n)
+                .map(|r| {
+                    if r < initial {
+                        Life::Active {
+                            since: SimTime::ZERO,
+                        }
+                    } else {
+                        Life::Cold
+                    }
+                })
+                .collect(),
+            tracker: FleetLoadTracker::new(n),
+            breaker: policies.breaker.map(|cfg| CircuitBreaker::new(cfg, n)),
+            admission: policies
+                .elastic
+                .and_then(|cfg| cfg.admission)
+                .map(AdmissionController::new),
+            autoscaler: policies.elastic.map(|cfg| Autoscaler::new(cfg.autoscaler)),
+            slots: (0..n).map(|_| Slot::default()).collect(),
+            assignments: Vec::new(),
+            assigned: vec![0; n],
+            pending: BTreeMap::new(),
+            retries_used: BTreeMap::new(),
+            casualty_ids: BTreeSet::new(),
+            out: FleetRun {
+                reliability: ReliabilityStats {
+                    crashes: policies.schedule.events().len() as u64,
+                    downtime_s: policies.schedule.total_downtime().as_secs(),
+                    ..ReliabilityStats::default()
+                },
+                elasticity: ElasticityStats {
+                    min_active_replicas: initial as u64,
+                    max_active_replicas: initial as u64,
+                    ..ElasticityStats::default()
+                },
+                ..FleetRun::default()
+            },
+            resident: 0,
+            last_observed_backlog: 0,
+            routed_since_observation: 0,
+            active_spans_s: vec![0.0; n],
+        }
+    }
+
+    fn grow_resident(&mut self) {
+        self.resident += 1;
+        let peak = &mut self.out.footprint.peak_resident_requests;
+        *peak = (*peak).max(self.resident);
+    }
+
+    /// Routes every arrival — source requests (behind the admission
+    /// controller, when armed) and pending retries (which bypass it)
+    /// interleaved by (arrival, id) — strictly before `end` (all of them
+    /// when `end` is `None`). The source is pulled lazily: nothing beyond
+    /// the boundary is ever materialised.
+    fn route_before(&mut self, end: Option<SimTime>, mut rec: Option<&mut TraceRecorder>) {
+        let in_window = |t: SimTime| end.is_none_or(|e| t < e);
+        loop {
+            let original_key = self
+                .source
+                .peek()
+                .map(|req| (req.arrival, req.id))
+                .filter(|&(at, _)| in_window(at));
+            let retry_key = self
+                .pending
+                .first_key_value()
+                .map(|(&key, _)| key)
+                .filter(|&(at, _)| in_window(at));
+            // Pick the earlier of the two streams by (arrival, id); an
+            // original can never share its id with a pending retry, so the
+            // order is total.
+            let take_retry = match (original_key, retry_key) {
+                (None, None) => break,
+                (Some(okey), Some(rkey)) => rkey < okey,
+                (None, Some(_)) => true,
+                (Some(_), None) => false,
+            };
+            if take_retry {
+                let key = retry_key.expect("a retry is due");
+                let (retry, _) = self.pending.remove(&key).expect("key just seen");
+                self.resident -= 1;
+                self.route(retry, true);
+            } else {
+                let req = self.source.next().expect("peeked above");
+                self.out.footprint.streamed_requests += 1;
+                if self.admit(&req, rec.as_deref_mut()) {
+                    self.route(req, false);
+                }
+            }
+        }
+    }
+
+    /// Routes one attempt and injects it into the chosen replica's live
+    /// sim.
+    fn route(&mut self, req: Request, retry: bool) {
+        let (replica, start) = self.pick(&req);
+        let mut placed = req;
+        placed.arrival = start;
+        self.assignments.push((placed.id, replica));
+        self.out.route_instants.push(start);
+        self.assigned[replica.index()] += 1;
+        let (system, trace_config) = (&self.system, self.trace_config);
+        let (sim, child) = self.slots[replica.index()].live.get_or_insert_with(|| {
+            (
+                ReplicaSim::new(Box::new(system.build_replica_engine())),
+                trace_config.map(TraceRecorder::new),
+            )
+        });
+        if let (true, Some(child)) = (retry, child) {
+            child.note_retry(placed.id);
+        }
+        sim.inject(placed);
+        self.grow_resident();
+    }
+
+    /// Picks the replica for one attempt at its arrival instant, among
+    /// those active, past provisioning, up per the failure schedule and not
+    /// held open by the breaker — falling back, when none qualifies, to the
+    /// active replica that becomes routable earliest (ties to the lowest
+    /// id). Returns the replica and the instant the attempt arrives there.
+    fn pick(&mut self, req: &Request) -> (ReplicaId, SimTime) {
+        let n = self.n;
+        let t = req.arrival;
+        let schedule = self.policies.schedule;
+        let breaker = self.breaker.as_ref();
+        let life = &self.life;
+        let candidates = healthy_candidates(n, |r| {
+            !matches!(life[r.index()], Life::Active { since } if since <= t)
+                || schedule.is_down(r, t)
+                || breaker.is_some_and(|b| b.is_open(r, t))
+        });
+        let route_req = RouteRequest::of(req);
+        let (replica, start) = if candidates.is_empty() {
+            let mut best: Option<(SimTime, usize)> = None;
+            for (r, &l) in life.iter().enumerate() {
+                if let Life::Active { since } = l {
+                    let rid = ReplicaId::from(r);
+                    let mut ready = schedule.next_up(rid, t.max(since));
+                    if let Some(bk) = breaker {
+                        ready = ready.max(bk.open_until(rid));
+                    }
+                    if best.is_none_or(|(earliest, _)| ready < earliest) {
+                        best = Some((ready, r));
+                    }
+                }
+            }
+            let (ready, r) = best.expect("at least one replica stays active");
+            (ReplicaId::from(r), ready.max(t))
+        } else {
+            let loads = self.tracker.loads();
+            (self.router.route(&route_req, loads, &candidates), t)
+        };
+        assert!(
+            replica.index() < n,
+            "router returned out-of-range {replica}"
+        );
+        self.tracker.on_assign(replica, &route_req);
+        self.routed_since_observation = self
+            .routed_since_observation
+            .saturating_add(req.input_len + req.max_output_len);
+        (replica, start)
+    }
+
+    /// Replica `r`'s live sim, if its slot holds one.
+    pub(crate) fn live_sim(&mut self, r: usize) -> Option<&mut LiveSim> {
+        self.slots[r].live.as_mut().map(|(sim, _)| sim)
+    }
+
+    /// Runs `f` on the live sims of `replicas` — on the worker pool when
+    /// the fleet is parallel — and returns the results in replica-id
+    /// order. Replicas without a live sim are skipped.
+    pub(crate) fn advance_each<R: Send>(
+        &mut self,
+        replicas: &[usize],
+        f: impl Fn(&mut LiveSim, &mut dyn TraceSink) -> R + Sync,
+    ) -> Vec<(usize, R)> {
+        let (ids, sims): (Vec<usize>, Vec<_>) = self
+            .slots
+            .iter_mut()
+            .enumerate()
+            .filter(|(r, _)| replicas.contains(r))
+            .filter_map(|(r, slot)| slot.live.as_mut().map(|l| (r, l)))
+            .unzip();
+        let results = if self.parallel {
+            run_each_mut(sims, |l| with_sink(l, &f))
+        } else {
+            sims.into_iter().map(|l| with_sink(l, &f)).collect()
+        };
+        ids.into_iter().zip(results).collect()
+    }
+
+    /// Ends replica `r`'s current segment: its recording is absorbed, its
+    /// outcome merges into the replica's, and the slot restarts empty.
+    /// Returns the segment's `sim_time`.
+    pub(crate) fn end_segment(&mut self, r: usize, rec: Option<&mut TraceRecorder>) -> SimTime {
+        let (sim, child) = self.slots[r].live.take().expect("segment is live");
+        self.resident -= sim.injected();
+        if let (Some(rec), Some(child)) = (rec, child) {
+            rec.merge_child(ReplicaId::from(r), child);
+        }
+        let outcome = sim.finish();
+        let sim_time = outcome.sim_time;
+        self.slots[r]
+            .merged
+            .get_or_insert_with(RunOutcome::default)
+            .absorb(outcome);
+        sim_time
+    }
+
+    /// Resolves every crash striking at `b`: each crashing replica advances
+    /// through `b`, and whatever it had not completed or rejected by then
+    /// becomes a casualty.
+    fn crash_boundary(&mut self, b: SimTime, mut rec: Option<&mut TraceRecorder>) {
+        let events = self.policies.schedule.events();
+        if let Some(r) = rec.as_deref_mut() {
+            for event in events.iter().filter(|e| e.crash == b) {
+                r.crash(b, event.replica);
+                r.recover(event.recover, event.replica);
+            }
+        }
+        // Events are sorted by (crash, replica): casualties settle in
+        // replica-id order.
+        let crashing: Vec<usize> = events
+            .iter()
+            .filter(|e| e.crash == b)
+            .map(|e| e.replica.index())
+            .collect();
+        for (r, casualties) in self.advance_each(&crashing, |sim, sink| sim.crash(b, sink)) {
+            self.end_segment(r, rec.as_deref_mut());
+            self.settle_casualties(casualties, ReplicaId::from(r), b, rec.as_deref_mut());
+        }
+    }
+
+    /// Resolves the casualties of a crash (or a crash-interrupted drain):
+    /// the breaker is fed one failure per casualty, and each casualty is
+    /// either re-submitted (arrival `at + backoff`, same request id, full
+    /// re-prefill on whatever replica routing picks next) or terminally
+    /// failed once its retry budget is spent.
+    pub(crate) fn settle_casualties(
+        &mut self,
+        casualties: Vec<Request>,
+        replica: ReplicaId,
+        at: SimTime,
+        mut rec: Option<&mut TraceRecorder>,
+    ) {
+        let retry_policy = self.policies.retry;
+        for req in casualties {
+            self.out.reliability.failed_attempts += 1;
+            self.casualty_ids.insert(req.id);
+            if let Some(r) = rec.as_deref_mut() {
+                r.casualty(at, req.id);
+            }
+            if let Some(bk) = self.breaker.as_mut() {
+                if bk.record_failure(replica, at) {
+                    if let Some(r) = rec.as_deref_mut() {
+                        r.breaker_open(at, replica);
+                    }
+                }
+            }
+            let used = self.retries_used.get(&req.id).copied().unwrap_or(0);
+            if retry_policy.allows(used) {
+                let attempt = used + 1;
+                self.retries_used.insert(req.id, attempt);
+                let mut retry = req;
+                retry.arrival = at + retry_policy.backoff(attempt);
+                self.out.reliability.retries_scheduled += 1;
+                self.out.reliability.re_prefilled_tokens += retry.input_len;
+                if let Some(r) = rec.as_deref_mut() {
+                    r.retry_scheduled(at, retry.id, attempt, retry.arrival);
+                }
+                self.pending
+                    .insert((retry.arrival, retry.id), (retry, attempt));
+                self.grow_resident();
+            } else {
+                self.out.reliability.retries_exhausted += 1;
+                let reason = format!(
+                    "{replica} crashed at {at} with no retry budget left ({used} of {} used)",
+                    retry_policy.max_retries
+                );
+                if let Some(r) = rec.as_deref_mut() {
+                    r.request_failed(at, req.id, &reason);
+                }
+                self.out.failed.push(FailedRequest {
+                    id: req.id,
+                    at,
+                    replica,
+                    reason,
+                });
+            }
+        }
+    }
+
+    /// Runs every live replica to completion and merges the fleet: records
+    /// and rejections in request-id order, counters summed in replica-id
+    /// order.
+    fn finish(mut self, mut rec: Option<&mut TraceRecorder>) -> (FleetOutcome, FleetRun) {
+        let all: Vec<usize> = (0..self.n).collect();
+        self.advance_each(&all, |sim, sink| sim.run_to_end(sink));
+        for r in 0..self.n {
+            if self.slots[r].live.is_some() {
+                self.end_segment(r, rec.as_deref_mut());
+            }
+        }
+        let mut total = RunOutcome::default();
+        let mut per_replica = Vec::with_capacity(self.n);
+        for (r, slot) in std::mem::take(&mut self.slots).into_iter().enumerate() {
+            let outcome = slot.merged.unwrap_or_default();
+            total.absorb(outcome.clone());
             per_replica.push(ReplicaOutcome {
-                replica: ReplicaId::from(i),
-                assigned: sub.len(),
+                replica: ReplicaId::from(r),
+                assigned: self.assigned[r],
                 outcome,
             });
         }
+        let RunOutcome {
+            mut records,
+            mut rejected,
+            unfinished,
+            sim_time,
+            iterations,
+            migration_bytes,
+            scheduler_calls,
+            pressure,
+            cache,
+            ..
+        } = total;
         records.sort_by_key(|r| r.id);
         rejected.sort_by_key(|r| r.0);
-        FleetOutcome {
+        self.out.failed.sort_by_key(|f| f.id);
+        self.out.shed.sort_by_key(|s| s.id);
+
+        self.out.reliability.recovered_requests = self
+            .casualty_ids
+            .iter()
+            .filter(|id| records.binary_search_by_key(*id, |r| r.id).is_ok())
+            .count() as u64;
+        if let Some(bk) = &self.breaker {
+            self.out.reliability.breaker_opens = bk.opens();
+        }
+        // Replica-seconds: every span from activation (routable) to
+        // retirement; replicas still active close their span at the fleet
+        // makespan. The denominator of SLO-goodput per replica-second.
+        for r in 0..self.n {
+            if let Life::Active { since } = self.life[r] {
+                self.active_spans_s[r] += sim_time.saturating_since(since).as_secs();
+            }
+        }
+        self.out.elasticity.replica_seconds = self.active_spans_s.iter().sum();
+
+        let fleet = FleetOutcome {
             per_replica,
-            assignments,
+            assignments: self.assignments,
             records,
             rejected,
             unfinished,
@@ -515,7 +921,8 @@ impl FleetEngine {
             scheduler_calls,
             pressure,
             cache,
-        }
+        };
+        (fleet, self.out)
     }
 }
 

@@ -1,43 +1,36 @@
 //! The reliability tier: fleet runs under failure injection.
 //!
-//! [`FleetEngine::run_reliable`] replays a trace against a seeded
+//! [`FleetEngine::run_reliable`] runs a trace against a seeded
 //! [`FailureSchedule`]: replicas crash and recover on the sim clock, a
 //! crashed replica loses everything volatile (device KV, host-swap tier,
 //! prefix cache — it restarts as a fresh engine), and the requests that
 //! were in flight or queued on it surface back to the fleet frontend as
 //! *casualties*, where the [`RetryPolicy`] decides whether they get
-//! another attempt and the [`CircuitBreaker`] decides whether the replica
-//! does.
+//! another attempt and the
+//! [`CircuitBreaker`](loong_sched::reliability::CircuitBreaker) decides
+//! whether the replica does.
 //!
-//! # Execution model: boundary-ordered eras
+//! # Execution model: crashes interrupt live replicas
 //!
-//! The fleet tier routes up front and runs replicas independently; a crash
-//! is the one event that couples them again, because its casualties must
-//! re-enter routing. The runner therefore advances through **eras**
-//! delimited by the schedule's distinct crash instants:
+//! The run is the fleet's one loop over live replicas (see
+//! [`crate::fleet`]). Each arrival (original or retried) is routed at its
+//! arrival instant over the replicas routable then — replicas down per the
+//! schedule, or held open by the breaker, are excluded; if none is
+//! routable the request waits for the one that becomes routable earliest
+//! (ties to the lowest id) and arrives there at that instant.
 //!
-//! 1. Route every arrival (original or retried) that falls inside the
-//!    era, computing the candidate set per request at its arrival instant
-//!    — replicas down per the schedule, or held open by the breaker, are
-//!    excluded; policies pick among the rest with the shared sorted
-//!    tie-break. If *no* replica is routable the request waits for the
-//!    one that becomes routable earliest (ties to the lowest id) and
-//!    arrives there at that instant.
-//! 2. At the era's closing crash instant `b`, each replica crashing at
-//!    `b` runs the segment it accumulated, capped at `b` (work completing
-//!    by `b` counts — the crash interrupts the machine, not the ledger).
-//!    Whatever is neither completed nor rejected by `b` is a casualty:
-//!    the breaker is fed one failure per casualty, and each casualty is
-//!    either re-submitted (arrival `b + backoff`, same request id, full
-//!    re-prefill on whatever replica routing picks next) or terminally
-//!    failed once its budget is spent.
-//! 3. After the last era every replica runs its remaining segment to
-//!    completion.
+//! At a crash instant `b` the crashing replica advances through `b` (work
+//! completing by `b` counts — the crash interrupts the machine, not the
+//! ledger) and restarts empty. Whatever it had neither completed nor
+//! rejected is a casualty: the breaker is fed one failure per casualty,
+//! and each casualty is either re-submitted (arrival `b + backoff`, same
+//! request id, full re-prefill on whatever replica routing picks next) or
+//! terminally failed once its budget is spent.
 //!
-//! With an empty schedule there are no boundaries: one era, one segment
-//! per replica, candidates always the full fleet — the run degenerates to
-//! [`FleetEngine::run`] decision for decision, which is why an armed but
-//! idle reliability tier stays bit-for-bit on the pinned golden digests
+//! With an empty schedule there are no crashes and candidates are always
+//! the full fleet — the run is [`FleetEngine::run`] decision for
+//! decision, which is why an armed but idle reliability tier stays
+//! bit-for-bit on the pinned golden digests
 //! (`tests/reliability_properties.rs` pins this against
 //! `tests/fleet_equivalence.rs`).
 //!
@@ -46,36 +39,24 @@
 //! Every trace request ends in exactly one of four ledgers: fleet
 //! `records` (completed), fleet `rejected` (admission rejection),
 //! `failed` (crash casualties whose retry budget ran out), or the fleet's
-//! `unfinished` count (still in flight when a *final*, uncapped segment
-//! ended — only possible under an engine-level `max_sim_time`). A
-//! casualty is not an outcome, it is a transition: the request either
-//! reappears later (retry) or moves to `failed` at the crash instant.
-//! The proptests sweep random schedules against every router policy to
-//! pin this.
+//! `unfinished` count (stranded in a replica whose run ended with them
+//! unserved). A casualty is not an outcome, it is a transition: the
+//! request either reappears later (retry) or moves to `failed` at the
+//! crash instant. The proptests sweep random schedules against every
+//! router policy to pin this.
 
-use crate::engine::RunOutcome;
-use crate::fleet::{
-    run_segment_traced, trace_seed, FleetEngine, FleetFootprint, FleetOutcome, ReplicaOutcome,
-};
-use loong_metrics::cache::CacheStats;
+use crate::fleet::{FleetEngine, FleetFootprint, FleetOutcome, FleetPolicies, FleetRun};
 use loong_metrics::fleet::FleetSummary;
-use loong_metrics::pressure::PressureStats;
-use loong_metrics::record::RequestRecord;
 use loong_metrics::reliability::{availability_windows, ReliabilityStats, SlaWindow};
 use loong_metrics::slo::SloSpec;
-use loong_sched::reliability::{
-    healthy_candidates, CircuitBreaker, CircuitBreakerConfig, RetryPolicy,
-};
-use loong_sched::router::{FleetLoadTracker, RouteRequest};
+use loong_sched::reliability::{CircuitBreakerConfig, RetryPolicy};
 use loong_simcore::ids::{ReplicaId, RequestId};
-use loong_simcore::pool::run_indexed;
-use loong_simcore::time::{SimDuration, SimTime};
+use loong_simcore::time::SimTime;
 use loong_trace::TraceRecorder;
 use loong_workload::failure::FailureSchedule;
 use loong_workload::request::Request;
 use loong_workload::stream::TraceStream;
 use loong_workload::trace::Trace;
-use std::collections::{BTreeMap, BTreeSet};
 
 /// Configuration of a fleet run under failure injection.
 #[derive(Debug, Clone)]
@@ -151,7 +132,7 @@ pub struct FailedRequest {
 pub struct ReliableFleetOutcome {
     /// The fleet outcome over the attempts that resolved inside a replica:
     /// completed records, admission rejections, per-replica breakdowns.
-    /// Per-replica `unfinished` counts cover final (uncapped) segments
+    /// Per-replica `unfinished` counts cover each replica's final run
     /// only — casualties live in the reliability ledger, not here.
     pub fleet: FleetOutcome,
     /// Requests that terminally failed, sorted by request id.
@@ -185,44 +166,17 @@ impl ReliableFleetOutcome {
     }
 }
 
-/// Routing state shared across eras: per-replica segment buckets and the
-/// assignment ledger.
-struct RoutingLedger {
-    /// Requests routed to each replica since its last crash (or the run's
-    /// start), with their effective arrival instants.
-    buckets: Vec<Vec<Request>>,
-    /// Every routing decision in decision order; retried requests appear
-    /// once per attempt.
-    assignments: Vec<(RequestId, ReplicaId)>,
-    /// Attempts assigned per replica over the whole run.
-    assigned: Vec<usize>,
-    /// Originals pulled from the source so far.
-    streamed: usize,
-    /// Requests currently resident in the frontend: bucket entries not yet
-    /// handed to an engine, plus retries awaiting their backoff.
-    resident: usize,
-    /// High-water mark of `resident` — the streamed paths' memory claim.
-    peak_resident: usize,
-}
-
-impl RoutingLedger {
-    fn grow_resident(&mut self) {
-        self.resident += 1;
-        self.peak_resident = self.peak_resident.max(self.resident);
-    }
-}
-
 impl FleetEngine {
-    /// Runs the fleet over a trace under failure injection: boundary-
-    /// ordered eras of routing, capped segment execution at each crash,
-    /// casualty retry/terminal-failure resolution, and a final uncapped
-    /// segment per replica. See the module docs for the execution model.
+    /// Runs the fleet over a trace under failure injection: routing into
+    /// live replicas, each crash interrupting its replica, casualty
+    /// retry/terminal-failure resolution, and a final run of every replica
+    /// to completion. See the module docs for the execution model.
     ///
     /// # Panics
     ///
     /// Panics if the schedule strikes a replica outside the fleet.
     pub fn run_reliable(&mut self, trace: &Trace, rel: &ReliabilityConfig) -> ReliableFleetOutcome {
-        self.run_reliable_source(&trace.label, trace.requests.iter().cloned(), rel, None)
+        self.run_reliable_source(trace.requests.iter().cloned(), rel, None)
             .0
     }
 
@@ -237,31 +191,24 @@ impl FleetEngine {
         rel: &ReliabilityConfig,
         recorder: &mut TraceRecorder,
     ) -> ReliableFleetOutcome {
-        let (outcome, _) = self.run_reliable_source(
-            &trace.label,
-            trace.requests.iter().cloned(),
-            rel,
-            Some(recorder),
-        );
-        recorder.finalize(outcome.fleet.sim_time);
-        outcome
+        self.run_reliable_source(trace.requests.iter().cloned(), rel, Some(recorder))
+            .0
     }
 
     /// Runs the fleet under failure injection over a lazy request stream.
     /// Identical decision-for-decision to [`FleetEngine::run_reliable`] on
     /// the collected stream — arrivals and retries interleave by
-    /// `(arrival, id)` either way — but the frontend holds only routed-
-    /// not-yet-executed requests plus pending retries, which the returned
-    /// [`FleetFootprint`] measures. Under a boundary-rich schedule the
-    /// buckets flush at every crash, so peak residency tracks the *active*
+    /// `(arrival, id)` either way — but the frontend holds only pending
+    /// retries plus what live replicas hold, which the returned
+    /// [`FleetFootprint`] measures. A crash restarts its replica empty, so
+    /// under a crash-rich schedule peak residency tracks the *active*
     /// window, not the stream length.
     pub fn run_reliable_stream(
         &mut self,
         stream: TraceStream,
         rel: &ReliabilityConfig,
     ) -> (ReliableFleetOutcome, FleetFootprint) {
-        let label = stream.label().to_string();
-        self.run_reliable_source(&label, stream, rel, None)
+        self.run_reliable_source(stream, rel, None)
     }
 
     /// Streamed reliability run observed by `recorder` — the streamed
@@ -275,427 +222,40 @@ impl FleetEngine {
         rel: &ReliabilityConfig,
         recorder: &mut TraceRecorder,
     ) -> (ReliableFleetOutcome, FleetFootprint) {
-        let label = stream.label().to_string();
-        let (outcome, footprint) = self.run_reliable_source(&label, stream, rel, Some(recorder));
-        recorder.finalize(outcome.fleet.sim_time);
-        (outcome, footprint)
+        self.run_reliable_source(stream, rel, Some(recorder))
     }
 
-    /// The shared implementation of the materialised and streamed
-    /// reliability runs.
-    fn run_reliable_source<I: Iterator<Item = Request>>(
+    fn run_reliable_source(
         &mut self,
-        label: &str,
-        source: I,
+        source: impl Iterator<Item = Request>,
         rel: &ReliabilityConfig,
-        mut recorder: Option<&mut TraceRecorder>,
+        recorder: Option<&mut TraceRecorder>,
     ) -> (ReliableFleetOutcome, FleetFootprint) {
-        let mut source = source.peekable();
-        let n = self.config.replicas;
-        if let Some(max) = rel.schedule.max_replica() {
-            assert!(
-                max.index() < n,
-                "failure schedule strikes {max}, but the fleet has {n} replicas"
-            );
-        }
-        // Fresh router and tracker per run, exactly as `route()` does.
-        self.router = self.config.policy.build();
-        let mut tracker = FleetLoadTracker::new(n);
-        let mut breaker = rel.breaker.map(|cfg| CircuitBreaker::new(cfg, n));
-        let boundaries = rel.schedule.crash_times();
-
-        let mut ledger = RoutingLedger {
-            buckets: vec![Vec::new(); n],
-            assignments: Vec::new(),
-            assigned: vec![0usize; n],
-            streamed: 0,
-            resident: 0,
-            peak_resident: 0,
+        let policies = FleetPolicies {
+            schedule: &rel.schedule,
+            retry: rel.retry,
+            breaker: rel.breaker,
+            elastic: None,
         };
-        let mut segments: Vec<Vec<RunOutcome>> = vec![Vec::new(); n];
-        // Retries waiting for their backoff to elapse, keyed by
-        // (re-arrival, id) — the deterministic interleave order with
-        // original arrivals. The value carries the attempt count consumed.
-        let mut pending: BTreeMap<(SimTime, RequestId), (Request, u32)> = BTreeMap::new();
-        let mut retries_used: BTreeMap<RequestId, u32> = BTreeMap::new();
-        let mut casualty_ids: BTreeSet<RequestId> = BTreeSet::new();
-        let mut failed: Vec<FailedRequest> = Vec::new();
-        let mut stats = ReliabilityStats {
-            crashes: rel.schedule.events().len() as u64,
-            downtime_s: rel.schedule.total_downtime().as_secs(),
-            ..ReliabilityStats::default()
-        };
-        for &b in &boundaries {
-            self.drain_era(
-                &mut source,
-                Some(b),
-                &mut pending,
-                rel,
-                breaker.as_ref(),
-                &mut tracker,
-                &mut ledger,
-            );
-            if let Some(rec) = recorder.as_deref_mut() {
-                for event in rel.schedule.events().iter().filter(|e| e.crash == b) {
-                    rec.crash(b, event.replica);
-                    rec.recover(event.recover, event.replica);
-                }
-            }
-            // Replicas crashing at b, in ascending id order (events are
-            // sorted by (crash, replica)). The capped engine runs are pure,
-            // so they go to the worker pool; casualty settlement — breaker
-            // feed, retry scheduling, terminal failure — replays serially
-            // in that same replica order afterwards.
-            let crashing: Vec<(ReplicaId, Trace)> = rel
-                .schedule
-                .events()
-                .iter()
-                .filter(|e| e.crash == b)
-                .filter_map(|event| {
-                    let replica = event.replica;
-                    let bucket = std::mem::take(&mut ledger.buckets[replica.index()]);
-                    ledger.resident -= bucket.len();
-                    (!bucket.is_empty()).then(|| {
-                        let sub = Trace::from_requests(
-                            format!("{label} · replica {replica}/{n} ∣ crash at {b}"),
-                            bucket,
-                        );
-                        (replica, sub)
-                    })
-                })
-                .collect();
-            let system = self
-                .config
-                .replica_system()
-                .with_max_sim_time(SimDuration::from_secs(b.as_secs()));
-            let seed = trace_seed(&recorder);
-            let run_segment = |sub: &Trace| run_segment_traced(&system, sub, &seed);
-            let results: Vec<(RunOutcome, Option<TraceRecorder>)> = if self.config.parallel {
-                run_indexed(crashing.len(), |i| run_segment(&crashing[i].1))
-            } else {
-                crashing.iter().map(|(_, sub)| run_segment(sub)).collect()
-            };
-            for ((replica, sub), (outcome, child)) in crashing.into_iter().zip(results) {
-                // Absorb the segment's recording first: its in-flight
-                // requests become the parent's open entries, which the
-                // casualty closes below transition to retries or failures.
-                if let (Some(rec), Some(child)) = (recorder.as_deref_mut(), child) {
-                    rec.merge_child(replica, child);
-                }
-                // Casualties: assigned to this segment but neither
-                // completed nor rejected when the crash struck. The
-                // sub-trace holds the routed bucket (arrival-sorted), so
-                // the scan needs no separate copy of it.
-                let resolved: BTreeSet<RequestId> = outcome
-                    .records
-                    .iter()
-                    .map(|r| r.id)
-                    .chain(outcome.rejected.iter().map(|r| r.0))
-                    .collect();
-                let mut casualties: Vec<&Request> = sub
-                    .requests
-                    .iter()
-                    .filter(|req| !resolved.contains(&req.id))
-                    .collect();
-                casualties.sort_by_key(|req| req.id);
-                for req in casualties {
-                    stats.failed_attempts += 1;
-                    casualty_ids.insert(req.id);
-                    if let Some(rec) = recorder.as_deref_mut() {
-                        rec.casualty(b, req.id);
-                    }
-                    if let Some(bk) = breaker.as_mut() {
-                        let tripped = bk.record_failure(replica, b);
-                        if tripped {
-                            if let Some(rec) = recorder.as_deref_mut() {
-                                rec.breaker_open(b, replica);
-                            }
-                        }
-                    }
-                    let used = retries_used.get(&req.id).copied().unwrap_or(0);
-                    if rel.retry.allows(used) {
-                        let attempt = used + 1;
-                        retries_used.insert(req.id, attempt);
-                        let mut retry = req.clone();
-                        retry.arrival = b + rel.retry.backoff(attempt);
-                        stats.retries_scheduled += 1;
-                        stats.re_prefilled_tokens += retry.input_len;
-                        if let Some(rec) = recorder.as_deref_mut() {
-                            rec.retry_scheduled(b, req.id, attempt, retry.arrival);
-                        }
-                        pending.insert((retry.arrival, retry.id), (retry, attempt));
-                        ledger.grow_resident();
-                    } else {
-                        stats.retries_exhausted += 1;
-                        let reason = format!(
-                            "{replica} crashed at {b} with no retry budget left \
-                             ({used} of {} used)",
-                            rel.retry.max_retries
-                        );
-                        if let Some(rec) = recorder.as_deref_mut() {
-                            rec.request_failed(b, req.id, &reason);
-                        }
-                        failed.push(FailedRequest {
-                            id: req.id,
-                            at: b,
-                            replica,
-                            reason,
-                        });
-                    }
-                }
-                segments[replica.index()].push(outcome);
-            }
-        }
-
-        // Final era and final (uncapped) segment of every replica.
-        self.drain_era(
-            &mut source,
-            None,
-            &mut pending,
-            rel,
-            breaker.as_ref(),
-            &mut tracker,
-            &mut ledger,
-        );
-        let system = self.config.replica_system();
-        let finals: Vec<Trace> = (0..n)
-            .map(|r| {
-                let bucket = std::mem::take(&mut ledger.buckets[r]);
-                ledger.resident -= bucket.len();
-                Trace::from_requests(format!("{label} · replica {r}/{n}"), bucket)
-            })
-            .collect();
-        let seed = trace_seed(&recorder);
-        let run_final = |sub: &Trace| run_segment_traced(&system, sub, &seed);
-        let final_results: Vec<(RunOutcome, Option<TraceRecorder>)> = if self.config.parallel {
-            run_indexed(finals.len(), |r| run_final(&finals[r]))
-        } else {
-            finals.iter().map(run_final).collect()
-        };
-        for (r, (segment, (outcome, child))) in segments.iter_mut().zip(final_results).enumerate() {
-            if let (Some(rec), Some(child)) = (recorder.as_deref_mut(), child) {
-                rec.merge_child(ReplicaId::from(r), child);
-            }
-            segment.push(outcome);
-        }
-
-        // Merge, mirroring the plain fleet merge: records and rejections
-        // in request-id order, counters summed in replica-id order.
-        let mut records: Vec<RequestRecord> = Vec::new();
-        let mut rejected: Vec<(RequestId, String)> = Vec::new();
-        let mut unfinished = 0usize;
-        let mut sim_time = SimTime::ZERO;
-        let mut iterations = 0u64;
-        let mut migration_bytes = 0.0f64;
-        let mut scheduler_calls = 0u64;
-        let mut pressure = PressureStats::default();
-        let mut cache = CacheStats::default();
-        let mut per_replica = Vec::with_capacity(n);
-        for (r, segs) in segments.into_iter().enumerate() {
-            let outcome = merge_segments(segs);
-            records.extend(outcome.records.iter().copied());
-            rejected.extend(outcome.rejected.iter().cloned());
-            unfinished += outcome.unfinished;
-            sim_time = sim_time.max(outcome.sim_time);
-            iterations += outcome.iterations;
-            migration_bytes += outcome.migration_bytes;
-            scheduler_calls += outcome.scheduler_calls;
-            pressure.merge(&outcome.pressure);
-            cache.merge(&outcome.cache);
-            per_replica.push(ReplicaOutcome {
-                replica: ReplicaId::from(r),
-                assigned: ledger.assigned[r],
-                outcome,
-            });
-        }
-        records.sort_by_key(|r| r.id);
-        rejected.sort_by_key(|r| r.0);
-        failed.sort_by_key(|f| f.id);
-
-        stats.recovered_requests = casualty_ids
-            .iter()
-            .filter(|id| records.binary_search_by_key(*id, |r| r.id).is_ok())
-            .count() as u64;
-        if let Some(bk) = &breaker {
-            stats.breaker_opens = bk.opens();
-        }
+        let (fleet, run) = self.run_fleet(source, &policies, recorder);
+        let FleetRun {
+            failed,
+            reliability,
+            footprint,
+            ..
+        } = run;
         let failure_instants: Vec<SimTime> = failed.iter().map(|f| f.at).collect();
-        let sla_windows = availability_windows(rel.sla_window_s, &records, &failure_instants);
-
+        let sla_windows = availability_windows(rel.sla_window_s, &fleet.records, &failure_instants);
         (
             ReliableFleetOutcome {
-                fleet: FleetOutcome {
-                    per_replica,
-                    assignments: ledger.assignments,
-                    records,
-                    rejected,
-                    unfinished,
-                    sim_time,
-                    iterations,
-                    migration_bytes,
-                    scheduler_calls,
-                    pressure,
-                    cache,
-                },
+                fleet,
                 failed,
-                reliability: stats,
+                reliability,
                 sla_windows,
             },
-            FleetFootprint {
-                streamed_requests: ledger.streamed,
-                peak_resident_requests: ledger.peak_resident,
-            },
+            footprint,
         )
     }
-
-    /// Routes every arrival — source requests and pending retries
-    /// interleaved by (arrival, id) — strictly before `end` (all of them
-    /// when `end` is `None`). The source is pulled lazily: nothing beyond
-    /// the era boundary is ever materialised.
-    #[allow(clippy::too_many_arguments)]
-    fn drain_era<I: Iterator<Item = Request>>(
-        &mut self,
-        source: &mut std::iter::Peekable<I>,
-        end: Option<SimTime>,
-        pending: &mut BTreeMap<(SimTime, RequestId), (Request, u32)>,
-        rel: &ReliabilityConfig,
-        breaker: Option<&CircuitBreaker>,
-        tracker: &mut FleetLoadTracker,
-        ledger: &mut RoutingLedger,
-    ) {
-        let in_era = |t: SimTime| end.is_none_or(|e| t < e);
-        loop {
-            let original_key = source
-                .peek()
-                .map(|req| (req.arrival, req.id))
-                .filter(|&(at, _)| in_era(at));
-            let retry_key = pending
-                .first_key_value()
-                .map(|(&key, _)| key)
-                .filter(|&(at, _)| in_era(at));
-            // Pick the earlier of the two streams by (arrival, id); an
-            // original can never share its id with a pending retry, so the
-            // order is total.
-            match (original_key, retry_key) {
-                (None, None) => break,
-                (Some(okey), retry) => {
-                    if let Some(key) = retry {
-                        if key < okey {
-                            let (retry_req, _) = pending.remove(&key).expect("key just seen");
-                            ledger.resident -= 1;
-                            self.route_attempt(retry_req, rel, breaker, tracker, ledger);
-                            continue;
-                        }
-                    }
-                    let req = source.next().expect("peeked above");
-                    ledger.streamed += 1;
-                    self.route_attempt(req, rel, breaker, tracker, ledger);
-                }
-                (None, Some(key)) => {
-                    let (retry_req, _) = pending.remove(&key).expect("key just seen");
-                    ledger.resident -= 1;
-                    self.route_attempt(retry_req, rel, breaker, tracker, ledger);
-                }
-            }
-        }
-    }
-
-    /// Routes one attempt at its arrival instant over the healthy
-    /// candidate set, falling back to wait-for-earliest-recovery when no
-    /// replica is routable.
-    fn route_attempt(
-        &mut self,
-        req: Request,
-        rel: &ReliabilityConfig,
-        breaker: Option<&CircuitBreaker>,
-        tracker: &mut FleetLoadTracker,
-        ledger: &mut RoutingLedger,
-    ) {
-        let n = self.config.replicas;
-        let t = req.arrival;
-        let candidates = healthy_candidates(n, |r| {
-            rel.schedule.is_down(r, t) || breaker.is_some_and(|b| b.is_open(r, t))
-        });
-        let route_req = RouteRequest {
-            id: req.id,
-            arrival: t,
-            input_len: req.input_len,
-            max_output_len: req.max_output_len,
-            conversation: req.conversation,
-        };
-        let (replica, start) = if candidates.is_empty() {
-            // Whole fleet unroutable: the frontend holds the request for
-            // the replica that becomes routable earliest (schedule
-            // recovery and breaker cooldown both count), ties to the
-            // lowest id, and it arrives there at that instant.
-            let mut best = ReplicaId::from(0usize);
-            let mut best_ready = SimTime::ZERO;
-            for r in 0..n {
-                let rid = ReplicaId::from(r);
-                let mut ready = rel.schedule.next_up(rid, t);
-                if let Some(bk) = breaker {
-                    ready = ready.max(bk.open_until(rid));
-                }
-                if r == 0 || ready < best_ready {
-                    best = rid;
-                    best_ready = ready;
-                }
-            }
-            (best, best_ready.max(t))
-        } else {
-            (
-                self.router.route(&route_req, tracker.loads(), &candidates),
-                t,
-            )
-        };
-        assert!(
-            replica.index() < n,
-            "router returned out-of-range {replica}"
-        );
-        tracker.on_assign(replica, &route_req);
-        let mut placed = req;
-        placed.arrival = start;
-        ledger.assignments.push((placed.id, replica));
-        ledger.assigned[replica.index()] += 1;
-        ledger.buckets[replica.index()].push(placed);
-        ledger.grow_resident();
-    }
-}
-
-/// Merges one replica's segment outcomes (in segment order; the last one
-/// is the final, uncapped segment). Counters sum, sim time maximises, and
-/// `unfinished` comes from the final segment alone — a capped segment's
-/// unfinished requests are crash casualties, owned by the retry ledger.
-/// Shared with the elasticity tier, whose drain segments merge the same
-/// way.
-pub(crate) fn merge_segments(segments: Vec<RunOutcome>) -> RunOutcome {
-    let last = segments.len() - 1;
-    let mut merged: Option<RunOutcome> = None;
-    for (i, seg) in segments.into_iter().enumerate() {
-        match &mut merged {
-            None => {
-                let mut seg = seg;
-                if i != last {
-                    seg.unfinished = 0;
-                }
-                merged = Some(seg);
-            }
-            Some(acc) => {
-                acc.records.extend(seg.records);
-                acc.rejected.extend(seg.rejected);
-                acc.unfinished = if i == last { seg.unfinished } else { 0 };
-                acc.scaling_events.extend(seg.scaling_events);
-                acc.sim_time = acc.sim_time.max(seg.sim_time);
-                acc.iterations += seg.iterations;
-                acc.migration_bytes += seg.migration_bytes;
-                acc.scheduler_calls += seg.scheduler_calls;
-                acc.pressure.merge(&seg.pressure);
-                acc.cache.merge(&seg.cache);
-                acc.prefilled_tokens += seg.prefilled_tokens;
-            }
-        }
-    }
-    merged.expect("every replica runs at least its final segment")
 }
 
 #[cfg(test)]

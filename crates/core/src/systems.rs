@@ -105,7 +105,7 @@ impl SystemKind {
         &self,
         instances: &[InstanceId],
         trace: Option<&Trace>,
-    ) -> Box<dyn Scheduler> {
+    ) -> Box<dyn Scheduler + Send> {
         match self {
             SystemKind::LoongServe => Box::new(LoongServeScheduler::new()),
             SystemKind::LoongServeNoScaleUp => {
@@ -142,7 +142,7 @@ impl SystemKind {
         instances: &[InstanceId],
         trace: Option<&Trace>,
         pressure: PressureConfig,
-    ) -> Box<dyn Scheduler> {
+    ) -> Box<dyn Scheduler + Send> {
         let _ = (instances, trace);
         match self {
             SystemKind::LoongServe => Box::new(LoongServeScheduler::new().with_pressure(pressure)),
@@ -274,6 +274,22 @@ impl SystemUnderTest {
 
     /// Builds the serving engine for this system.
     pub fn build_engine(&self, trace: Option<&Trace>) -> ServingEngine {
+        let (config, scheduler) = self.engine_parts(trace);
+        ServingEngine::new(config, scheduler)
+    }
+
+    /// Builds the engine of one fleet replica. Its scheduler is `Send`, so
+    /// live replicas can advance on the worker pool. Fleet replicas see
+    /// their requests only as they are routed, so no trace statistics are
+    /// available: the LightLLM SplitFuse chunk size takes its untuned
+    /// default.
+    pub(crate) fn build_replica_engine(&self) -> ServingEngine<dyn Scheduler + Send> {
+        let (config, scheduler) = self.engine_parts(None);
+        ServingEngine::with_scheduler(config, scheduler)
+    }
+
+    /// The engine configuration and scheduler of this system.
+    fn engine_parts(&self, trace: Option<&Trace>) -> (EngineConfig, Box<dyn Scheduler + Send>) {
         let tp = self.kind.tp(self.cluster.gpus_per_node);
         // The host tier exists only under the swap mode; half the node's
         // DRAM is assumed available for swapped KV.
@@ -306,7 +322,7 @@ impl SystemUnderTest {
                 .kind
                 .build_pressure_scheduler(&registry.all_ids(), trace, cfg),
         };
-        ServingEngine::new(config, scheduler)
+        (config, scheduler)
     }
 
     /// Runs this system over a trace and summarises the outcome.

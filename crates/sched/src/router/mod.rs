@@ -60,6 +60,19 @@ pub struct RouteRequest {
 }
 
 impl RouteRequest {
+    /// What the router sees of `req`, arriving at its `arrival` instant.
+    pub fn of(req: &loong_workload::request::Request) -> Self {
+        RouteRequest {
+            id: req.id,
+            arrival: req.arrival,
+            input_len: req.input_len,
+            max_output_len: req.max_output_len,
+            conversation: req.conversation,
+        }
+    }
+}
+
+impl RouteRequest {
     /// Worst-case tokens the request will queue behind it: prompt plus the
     /// declared output bound (the router's analogue of queued work).
     pub fn queued_tokens(&self) -> u64 {

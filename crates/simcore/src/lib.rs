@@ -59,7 +59,7 @@ pub use class::TrafficClass;
 pub use distributions::{Empirical, Exponential, LogNormal, LogUniform, Zipf};
 pub use events::{Event, EventQueue};
 pub use ids::{BatchId, GpuId, GroupId, IdAllocator, InstanceId, NodeId, ReplicaId, RequestId};
-pub use pool::{run_indexed, worker_cap};
+pub use pool::{run_each_mut, run_indexed, worker_cap};
 pub use profile::{ProfileCounters, ProfileReport, SelfProfile};
 pub use rng::SimRng;
 pub use table::{PhaseClass, RequestTable};

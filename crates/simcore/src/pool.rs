@@ -13,6 +13,7 @@
 //! host's parallelism regardless of fleet size.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Number of worker threads the pool will use for `jobs` independent jobs:
 /// `min(available_parallelism, jobs)`, and at least 1.
@@ -78,6 +79,27 @@ where
         .enumerate()
         .map(|(i, slot)| slot.unwrap_or_else(|| panic!("job {i} never ran")))
         .collect()
+}
+
+/// Runs `f` once on each of `items` on the bounded pool and returns the
+/// results in item order — [`run_indexed`] for jobs that mutate state
+/// they own, such as advancing one live replica simulation each.
+pub fn run_each_mut<T, R, F>(items: Vec<&mut T>, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(&mut T) -> R + Sync,
+{
+    let items: Vec<Mutex<Option<&mut T>>> =
+        items.into_iter().map(|i| Mutex::new(Some(i))).collect();
+    run_indexed(items.len(), |i| {
+        let item = items[i]
+            .lock()
+            .expect("no job panicked holding an item")
+            .take()
+            .expect("each item runs once");
+        f(item)
+    })
 }
 
 #[cfg(test)]

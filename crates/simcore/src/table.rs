@@ -3,8 +3,9 @@
 //! The serving engine's run loop must build a scheduler view at every
 //! scheduling point. Scanning every request ever seen makes each point cost
 //! O(all requests) and a whole trace O(N²); [`RequestTable`] makes the view
-//! O(active) instead. It is a dense slab indexed by [`RequestId`] whose
-//! entries each carry a coarse [`PhaseClass`]; for every class the table
+//! O(active) instead. It is a packed slab, found through a dense
+//! [`RequestId`] index, whose entries each carry a coarse [`PhaseClass`];
+//! for every class the table
 //! maintains an index set ordered by **admission rank** — the order in which
 //! requests became visible to the scheduler. Phase transitions move an entry
 //! between index sets in O(log n); iterating one class visits exactly the
@@ -83,46 +84,60 @@ struct Slot<T> {
     admitted: bool,
 }
 
-/// A dense slab of per-request state with intrusive phase-index sets.
+/// A packed slab of per-request state with intrusive phase-index sets.
 ///
-/// Entries are keyed by `RequestId::index()`, so ids should be dense (the
-/// workload generator allocates them sequentially). Sparse ids work but
-/// waste slab space.
+/// Slots are stored in insertion order and found through a dense index
+/// keyed by `RequestId::index()` that costs four bytes per id up to the
+/// largest one inserted. A fleet replica that sees every fourth id of a
+/// trace therefore holds only its own requests' state, not a slab
+/// spanning the whole trace.
 #[derive(Debug, Clone, Default)]
 pub struct RequestTable<T> {
-    slots: Vec<Option<Slot<T>>>,
+    /// Slot position of each id, [`RequestTable::ABSENT`] when not present.
+    index: Vec<u32>,
+    slots: Vec<Slot<T>>,
     /// One ordered index per class, keyed by (admission rank, id).
     classes: [BTreeSet<(u64, RequestId)>; PhaseClass::COUNT],
     next_rank: u64,
-    len: usize,
 }
 
 impl<T> RequestTable<T> {
+    const ABSENT: u32 = u32::MAX;
+
     /// Creates an empty table.
     pub fn new() -> Self {
         RequestTable {
+            index: Vec::new(),
             slots: Vec::new(),
             classes: Default::default(),
             next_rank: 0,
-            len: 0,
         }
     }
 
-    /// Creates an empty table with slab space for ids `0..capacity`.
+    /// Creates an empty table with room for `capacity` requests (and for
+    /// ids `0..capacity`).
     pub fn with_capacity(capacity: usize) -> Self {
         let mut t = Self::new();
-        t.slots.reserve(capacity);
+        t.slots.reserve_exact(capacity);
+        t.index.reserve_exact(capacity);
         t
     }
 
     /// Number of requests in the table.
     pub fn len(&self) -> usize {
-        self.len
+        self.slots.len()
     }
 
     /// Returns true if the table holds no requests.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.slots.is_empty()
+    }
+
+    fn position(&self, id: RequestId) -> Option<usize> {
+        match self.index.get(id.index()) {
+            Some(&pos) if pos != Self::ABSENT => Some(pos as usize),
+            _ => None,
+        }
     }
 
     /// Inserts a request in class [`PhaseClass::Pending`], initially
@@ -133,17 +148,20 @@ impl<T> RequestTable<T> {
     /// Panics if the id is already present.
     pub fn insert(&mut self, id: RequestId, payload: T) {
         let idx = id.index();
-        if idx >= self.slots.len() {
-            self.slots.resize_with(idx + 1, || None);
+        if idx >= self.index.len() {
+            self.index.resize(idx + 1, Self::ABSENT);
         }
-        assert!(self.slots[idx].is_none(), "request {id} inserted twice");
-        self.slots[idx] = Some(Slot {
+        assert!(
+            self.index[idx] == Self::ABSENT,
+            "request {id} inserted twice"
+        );
+        self.index[idx] = u32::try_from(self.slots.len()).expect("fewer than 2^32 requests");
+        self.slots.push(Slot {
             payload,
             class: PhaseClass::Pending,
             rank: u64::MAX,
             admitted: false,
         });
-        self.len += 1;
     }
 
     /// Makes a request visible to class iteration, assigning it the next
@@ -166,27 +184,25 @@ impl<T> RequestTable<T> {
 
     /// Returns true if the request is present.
     pub fn contains(&self, id: RequestId) -> bool {
-        self.slots.get(id.index()).is_some_and(|s| s.is_some())
+        self.position(id).is_some()
     }
 
     /// The payload of `id`, if present.
     pub fn get(&self, id: RequestId) -> Option<&T> {
-        self.slots.get(id.index())?.as_ref().map(|s| &s.payload)
+        self.position(id).map(|pos| &self.slots[pos].payload)
     }
 
     /// Mutable payload of `id`, if present. Class membership is unaffected;
     /// callers that change the logical phase must also call
     /// [`Self::set_class`].
     pub fn get_mut(&mut self, id: RequestId) -> Option<&mut T> {
-        self.slots
-            .get_mut(id.index())?
-            .as_mut()
-            .map(|s| &mut s.payload)
+        let pos = self.position(id)?;
+        Some(&mut self.slots[pos].payload)
     }
 
     /// The coarse class of `id`, if present.
     pub fn class_of(&self, id: RequestId) -> Option<PhaseClass> {
-        self.slots.get(id.index())?.as_ref().map(|s| s.class)
+        self.position(id).map(|pos| self.slots[pos].class)
     }
 
     /// Moves `id` to `class`, updating the phase indices in O(log n).
@@ -218,12 +234,26 @@ impl<T> RequestTable<T> {
         self.classes[class.index()].iter().map(|&(_, id)| id)
     }
 
+    /// Iterates `(id, payload)` in id order.
+    pub fn iter(&self) -> impl Iterator<Item = (RequestId, &T)> + '_ {
+        self.index
+            .iter()
+            .enumerate()
+            .filter(|&(_, &pos)| pos != Self::ABSENT)
+            .map(|(i, &pos)| (RequestId::from(i), &self.slots[pos as usize].payload))
+    }
+
     /// Consumes the table, yielding `(id, payload)` in id order.
     pub fn into_entries(self) -> impl Iterator<Item = (RequestId, T)> {
-        self.slots
+        let mut slots: Vec<Option<T>> = self.slots.into_iter().map(|s| Some(s.payload)).collect();
+        self.index
             .into_iter()
             .enumerate()
-            .filter_map(|(i, slot)| slot.map(|s| (RequestId::from(i), s.payload)))
+            .filter(|&(_, pos)| pos != Self::ABSENT)
+            .map(move |(i, pos)| {
+                let payload = slots[pos as usize].take().expect("each slot indexed once");
+                (RequestId::from(i), payload)
+            })
     }
 
     /// Checks the index invariants: every admitted entry appears in exactly
@@ -231,8 +261,11 @@ impl<T> RequestTable<T> {
     /// sizes add up. Intended for tests and debug assertions.
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut admitted = 0usize;
-        for (i, slot) in self.slots.iter().enumerate() {
-            let Some(slot) = slot else { continue };
+        for (i, &pos) in self.index.iter().enumerate() {
+            if pos == Self::ABSENT {
+                continue;
+            }
+            let slot = &self.slots[pos as usize];
             let id = RequestId::from(i);
             for class_idx in 0..PhaseClass::COUNT {
                 let present = self.classes[class_idx].contains(&(slot.rank, id));
@@ -257,10 +290,10 @@ impl<T> RequestTable<T> {
     }
 
     fn slot_mut(&mut self, id: RequestId) -> &mut Slot<T> {
-        self.slots
-            .get_mut(id.index())
-            .and_then(|s| s.as_mut())
-            .unwrap_or_else(|| panic!("unknown request {id}"))
+        let pos = self
+            .position(id)
+            .unwrap_or_else(|| panic!("unknown request {id}"));
+        &mut self.slots[pos]
     }
 }
 

@@ -15,8 +15,9 @@
 //!   engine's own O(active) residency, not the trace length.
 //!
 //! The [`TraceLedger`] proves all three: `O(sampled + bins + peak-open)`,
-//! with every drop counted. Fleet runs build one recorder per pooled era
-//! segment and absorb them in replica order via
+//! with every drop counted. Fleet runs give each live replica segment (a
+//! replica's run between crashes and drains) a child recorder and absorb
+//! each one, in replica order, when its segment ends, via
 //! [`TraceRecorder::merge_child`], which keeps recording deterministic
 //! under the worker pool.
 
@@ -29,8 +30,8 @@ use loong_simcore::time::SimTime;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Recorder configuration. `Copy`, so era loops can ship it into pooled
-/// segment closures.
+/// Recorder configuration. `Copy`, so a fleet can build one child recorder
+/// per replica segment from it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceConfig {
     /// Per-request span-sampling rate in permille (10 = 1%). 1000 keeps
@@ -182,12 +183,12 @@ struct PendingRetry {
 pub struct TraceRecorder {
     cfg: TraceConfig,
     /// Replica key this recorder's replica-agnostic events file under:
-    /// always 0 (bare engines and era-segment children; fleet merges
+    /// always 0 (bare engines and replica-segment children; fleet merges
     /// re-key at absorb time).
     replica_tag: u64,
-    /// Ids that have been scheduled for retry at least once, ever. Era
-    /// segments receive a snapshot so their engines can attribute retry
-    /// prefill without talking to the parent.
+    /// Ids that have been scheduled for retry at least once, ever (in a
+    /// replica-segment child: the retries routed to its replica, marked by
+    /// [`TraceRecorder::note_retry`]).
     retried: BTreeSet<u64>,
     open: BTreeMap<u64, OpenEntry>,
     spans: Vec<Span>,
@@ -233,23 +234,17 @@ impl TraceRecorder {
         }
     }
 
-    /// Creates a child recorder for one pooled era segment. `retried` is
-    /// the parent's snapshot of ever-retried ids, so the segment can
-    /// attribute prefill by retries to `retry_prefill_s` on its own.
-    pub fn segment(cfg: TraceConfig, retried: &BTreeSet<u64>) -> Self {
-        let mut child = TraceRecorder::new(cfg);
-        child.retried = retried.clone();
-        child
-    }
-
     /// The recorder's configuration.
     pub fn config(&self) -> TraceConfig {
         self.cfg
     }
 
-    /// Snapshot of every id ever scheduled for retry.
-    pub fn retried_snapshot(&self) -> BTreeSet<u64> {
-        self.retried.clone()
+    /// Marks `id`'s next admission as a retry attempt. A fleet calls this
+    /// on a replica's child recorder when it routes a crash retry there,
+    /// so the child attributes the retry's prefill to `retry_prefill_s`
+    /// without talking to the parent.
+    pub fn note_retry(&mut self, id: RequestId) {
+        self.retried.insert(id.raw());
     }
 
     /// The per-phase, per-class time attribution accumulated so far.
@@ -402,9 +397,9 @@ impl TraceRecorder {
         }
     }
 
-    // ----- fleet-level events (called from the era loops, serially) -----
+    // ----- fleet-level events (called from the fleet loop, serially) -----
 
-    /// A replica crashed at `at` (era boundary).
+    /// A replica crashed at `at`.
     pub fn crash(&mut self, at: SimTime, replica: ReplicaId) {
         self.fleet_series.crashes.record(at);
         self.push_instant(InstantEvent {
@@ -523,9 +518,9 @@ impl TraceRecorder {
         }
     }
 
-    /// Absorbs a pooled era segment's recorder, re-keying its
-    /// replica-agnostic events to `replica`. Called serially in replica
-    /// order after the pool joins, which keeps recording deterministic.
+    /// Absorbs a replica segment's recorder, re-keying its
+    /// replica-agnostic events to `replica`. Called serially, in replica
+    /// order, as segments end, which keeps recording deterministic.
     pub fn merge_child(&mut self, replica: ReplicaId, child: TraceRecorder) {
         let r = replica.raw();
         self.requests_seen += child.requests_seen;
@@ -750,8 +745,9 @@ mod tests {
         rec.casualty(t(2.0), RequestId(3));
         rec.retry_scheduled(t(2.0), RequestId(3), 1, t(2.5));
 
-        // The retry executes in a later era segment.
-        let mut child = TraceRecorder::segment(cfg, &rec.retried_snapshot());
+        // The retry executes on another replica, observed by its child.
+        let mut child = TraceRecorder::new(cfg);
+        child.note_retry(RequestId(3));
         child.on_admitted(t(2.5), admit(3, TrafficClass::Standard));
         child.on_phase(t(3.0), RequestId(3), SpanPhase::Prefill);
         child.on_phase(t(4.5), RequestId(3), SpanPhase::Decode);
