@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # The full verification gate for LoongServe-RS. Run from the repo root.
 #
-#   ./ci.sh          # everything: build, tests, bench gates, examples, clippy, fmt
-#   ./ci.sh quick    # just the tier-1 gate: release build + tests
+#   ./ci.sh            # everything: build, tests, bench gates, perfbench, examples, clippy, fmt
+#   ./ci.sh quick      # just the tier-1 gate: release build + tests
+#   ./ci.sh perfbench  # just the repository benchmark: build, its tests, one correct run per workload
 #
 # Every cargo invocation passes --locked so a drifted Cargo.lock fails loudly
 # instead of being silently regenerated, and the lockfile is checked for
@@ -25,6 +26,33 @@ check_lockfile() {
     fi
 }
 trap 'rm -f "$lock_before"' EXIT
+
+# The repository benchmark (perfbench/) is a package of its own that calls
+# the crate API (`run_elastic`, `run_reliable_stream_traced`, ...). Build it,
+# run its unit tests, and run each workload once, short, requiring its
+# outcome check to pass — so an API change that breaks it fails here.
+perfbench_gate() {
+    local manifest=perfbench/Cargo.toml
+    step "perfbench: build"
+    cargo build --release --locked --manifest-path "$manifest"
+    step "perfbench: cargo test"
+    cargo test --locked --manifest-path "$manifest"
+    local workload out
+    for workload in engine-mixed fleet-stream-crash fleet-flash-autoscale; do
+        step "perfbench: one run of $workload (--seconds 1 --trace 0) must be correct"
+        out=$(cargo run -q --release --locked --manifest-path "$manifest" -- \
+            --workload "$workload" --seed 1 --seconds 1 --trace 0)
+        printf '%s\n' "$out" | tail -n 1
+        printf '%s\n' "$out" | tail -n 1 | grep -q '"correct":true'
+    done
+}
+
+if [[ "${1:-}" == "perfbench" ]]; then
+    perfbench_gate
+    check_lockfile
+    echo "perfbench gate passed"
+    exit 0
+fi
 
 step "cargo build --release --locked"
 cargo build --release --locked
@@ -85,6 +113,8 @@ smoke_gate sparse_attention "^SPARSE_ATTENTION policy=page-sparse-decode .*unfin
 
 step "trace-check the million-scale smoke's Perfetto export"
 cargo run -q --release --locked -p xtask -- trace-check target/million_scale.perfetto.json
+
+perfbench_gate
 
 step "cargo build --examples --locked"
 cargo build --examples --locked

@@ -91,6 +91,9 @@ struct Sample {
     makespan_s: f64,
     scale_ups: u64,
     scale_downs: u64,
+    /// Scheduling points the run executed per trace request — every
+    /// replica iteration counts once, however often the fleet is observed.
+    sched_points_per_request: f64,
 }
 
 /// SLO attainment of the interactive requests that arrived during the
@@ -138,6 +141,7 @@ fn static_fleet(n: usize, trace: &Trace, slo: &SloSpec) -> Sample {
         makespan_s: outcome.sim_time.as_secs(),
         scale_ups: 0,
         scale_downs: 0,
+        sched_points_per_request: 0.0,
     }
 }
 
@@ -147,11 +151,13 @@ fn elastic_fleet(label: &str, trace: &Trace, slo: &SloSpec, cfg: &ElasticConfig)
         MAX_REPLICAS,
         RouterPolicy::JoinShortestQueue,
     );
-    // Pooled era execution; serial-equivalent per streaming_properties.
+    // Pooled replica execution; serial-equivalent per streaming_properties.
     config.parallel = true;
     let mut engine = FleetEngine::new(config);
     let start = Instant::now();
+    let profile = SelfProfile::start();
     let outcome = engine.run_elastic(trace, cfg);
+    let sched_points = profile.report().counters.sched_points;
     let wall_s = start.elapsed().as_secs_f64();
     assert_eq!(
         outcome.total_requests(),
@@ -177,6 +183,7 @@ fn elastic_fleet(label: &str, trace: &Trace, slo: &SloSpec, cfg: &ElasticConfig)
         makespan_s: outcome.fleet.sim_time.as_secs(),
         scale_ups: outcome.elasticity.scale_up_events,
         scale_downs: outcome.elasticity.scale_down_events,
+        sched_points_per_request: sched_points as f64 / trace.len() as f64,
     }
 }
 
@@ -292,7 +299,8 @@ fn main() {
     // The line CI greps for in the autoscale smoke step.
     println!(
         "AUTOSCALE best_static={} best_static_goodput={:.5} autoscaled_goodput={:.5} \
-         shed_goodput={:.5} shed_count={} flash_attainment={:.3} scale_ups={} scale_downs={}",
+         shed_goodput={:.5} shed_count={} flash_attainment={:.3} scale_ups={} scale_downs={} \
+         sched_points_per_request={:.2}",
         best_static.label,
         best_static.goodput_per_rs,
         autoscaled.goodput_per_rs,
@@ -300,12 +308,13 @@ fn main() {
         shed.shed,
         shed.interactive_flash_attainment,
         autoscaled.scale_ups,
-        autoscaled.scale_downs
+        autoscaled.scale_downs,
+        autoscaled.sched_points_per_request
     );
     if smoke {
         // Machine-readable, wall-clock-free metrics for the bench gate.
         println!(
-            "BENCH_SMOKE_JSON {{\"benchmark\":\"autoscale\",\"completed_autoscaled\":{},\"completed_shed\":{},\"shed_count\":{},\"replica_seconds_autoscaled\":{:.1},\"goodput_ratio_vs_best_static\":{:.4},\"flash_attainment_shed\":{:.4},\"scale_ups\":{},\"scale_downs\":{}}}",
+            "BENCH_SMOKE_JSON {{\"benchmark\":\"autoscale\",\"completed_autoscaled\":{},\"completed_shed\":{},\"shed_count\":{},\"replica_seconds_autoscaled\":{:.1},\"goodput_ratio_vs_best_static\":{:.4},\"flash_attainment_shed\":{:.4},\"scale_ups\":{},\"scale_downs\":{},\"sched_points_per_request\":{:.3}}}",
             autoscaled.completed,
             shed.completed,
             shed.shed,
@@ -313,7 +322,8 @@ fn main() {
             autoscaled.goodput_per_rs / best_static.goodput_per_rs,
             shed.interactive_flash_attainment,
             autoscaled.scale_ups,
-            autoscaled.scale_downs
+            autoscaled.scale_downs,
+            autoscaled.sched_points_per_request
         );
     }
 

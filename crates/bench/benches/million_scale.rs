@@ -4,10 +4,10 @@
 //! hardware speed, and this bench is where that claim is measured end to
 //! end: a ShareGPT Poisson trace is generated **lazily** by a
 //! [`TraceStream`] and fed to `run_reliable_stream` over an 8-replica
-//! LoongServe fleet behind JSQ routing, with era segments on the bounded
-//! worker pool. A staggered periodic crash schedule touches every replica,
-//! so era boundaries keep flushing the frontend's routing buckets — the
-//! [`FleetFootprint`] ledger proves the frontend held O(active +
+//! LoongServe fleet behind JSQ routing, with replicas advancing on the
+//! bounded worker pool. A staggered periodic crash schedule touches every
+//! replica, and each crash restarts its replica empty — the
+//! [`FleetFootprint`] ledger proves the fleet held O(active +
 //! pending-retries) requests, never the whole trace. The run is observed
 //! end to end by a 1%-sampling [`TraceRecorder`], whose own ledger proves
 //! the observability tier's O(sampled + bins + peak-open) residency bound
@@ -23,7 +23,7 @@
 //!   `BENCH_million.json`.
 //! * **Report-only**: wall-clock, requests per wall-second and the
 //!   process's `VmHWM` resident high-water (Linux only). Wall-clock
-//!   speedup from the pooled era execution needs cores — on an N-core
+//!   speedup from the pooled replica execution needs cores — on an N-core
 //!   host the pool caps at min(N-1, replicas) workers, so the ≥4× claim
 //!   at 8 replicas applies to ≥8-core hosts; single-core CI boxes see
 //!   pool overhead only, which is why no wall-clock number is gated.
@@ -53,9 +53,9 @@ const SMOKE_REPLICAS: usize = 4;
 const SEED: u64 = 2026;
 
 /// Every replica crashes once per `period` seconds, staggered so one
-/// boundary lands every `period / replicas` seconds fleet-wide. Each
-/// boundary flushes the crashing replica's routing bucket into a capped
-/// era segment, which is what keeps the frontend bounded.
+/// crash lands every `period / replicas` seconds fleet-wide. Each crash
+/// empties the crashing replica, which is what keeps the fleet's resident
+/// requests bounded.
 fn staggered_schedule(replicas: usize, period: f64, horizon: f64) -> FailureSchedule {
     let mut events = Vec::new();
     for r in 0..replicas {
@@ -98,7 +98,7 @@ fn run_streamed(
     traced: bool,
 ) -> Run {
     // Arrivals end around count/rate; pad the crash horizon past the drain
-    // tail so late eras keep flushing too.
+    // tail so late crashes keep emptying replicas too.
     let horizon = count as f64 / rate + 200.0;
     let schedule = staggered_schedule(replicas, crash_period, horizon);
     let rel = ReliabilityConfig::new(schedule)
@@ -190,7 +190,7 @@ fn main() {
     banner(&format!(
         "Million-scale fleet — ShareGPT @ {rate} req/s, {count} requests streamed, \
          {replicas} LoongServe replicas, JSQ router, staggered crashes every {crash_period}s, \
-         pooled eras on {cores} core(s){}",
+         pooled replicas on {cores} core(s){}",
         if smoke { " (smoke)" } else { "" }
     ));
 

@@ -37,7 +37,7 @@ const CRASH_PERIOD_S: f64 = 30.0;
 const SEED: u64 = 2026;
 
 /// Every replica crashes once per `period` seconds, staggered — same
-/// shape as the million-scale bench so the eras keep flushing.
+/// shape as the million-scale bench so crashes keep emptying replicas.
 fn staggered_schedule(replicas: usize, period: f64, horizon: f64) -> FailureSchedule {
     let mut events = Vec::new();
     for r in 0..replicas {

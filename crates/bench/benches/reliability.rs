@@ -51,7 +51,7 @@ fn run(label: &'static str, trace: &Trace, rel: &ReliabilityConfig) -> Sample {
         REPLICAS,
         RouterPolicy::JoinShortestQueue,
     );
-    // Era segments run on the bounded worker pool; bit-for-bit equal to
+    // Replicas advance on the bounded worker pool; bit-for-bit equal to
     // serial (tests/streaming_properties.rs), so the gate stays valid.
     config.parallel = true;
     let mut fleet = FleetEngine::new(config);

@@ -4,7 +4,7 @@
 //! it burns replica-seconds doing nothing, and under a flash crowd it wedges
 //! queues until every class misses its SLO. This module is the *policy*
 //! half of the elasticity tier — two deterministic controllers the fleet
-//! engine consults at era boundaries:
+//! engine consults at its control instants and on every arrival:
 //!
 //! * [`Autoscaler`] — target-tracking on SLO attainment and queue depth
 //!   over the control window, with cooldowns and min/max bounds, deciding
@@ -372,7 +372,7 @@ impl AdmissionController {
     /// Decides admission for one arriving request of `class`, given the
     /// fleet's current backlog (worst-case queued tokens) and ready replica
     /// count. Updates the hysteresis state first, so the decision reflects
-    /// the ratio *including* this arrival's era.
+    /// the ratio *including* this arrival.
     pub fn admit(
         &mut self,
         class: TrafficClass,

@@ -1,12 +1,13 @@
 //! A bounded, deterministic fork-join worker pool for independent jobs.
 //!
-//! The fleet runners execute one engine per replica between era boundaries.
-//! Those per-replica simulations are pure functions of their inputs, so they
-//! can run on any thread in any order — as long as the *results* are put back
-//! in job order the outcome is bit-identical to a serial loop. [`run_indexed`]
+//! The fleet loop advances one live simulation per replica between crash and
+//! control instants. Those per-replica advances share nothing, so they can
+//! run on any thread in any order — as long as the *results* are put back in
+//! job order the outcome is bit-identical to a serial loop. [`run_indexed`]
 //! does exactly that: it spawns at most [`worker_cap`] scoped threads that
 //! pull job indices from a shared atomic counter, and returns the results in
-//! index order.
+//! index order; [`run_each_mut`] does the same for jobs that each mutate a
+//! state of their own.
 //!
 //! Spawning one OS thread per replica (what the plain fleet used to do) falls
 //! over at 100-replica fleets; the pool keeps thread count bounded by the

@@ -1,7 +1,7 @@
 //! The observation boundary: the [`TraceSink`] trait the execution stack
 //! emits into.
 //!
-//! The engine and the fleet era loops call sink methods at every request
+//! The engine and the fleet loop call sink methods at every request
 //! lifecycle edge and scheduling point. A sink **observes** — it receives
 //! copies of values the engine already computed and can influence nothing,
 //! which is what makes the tier provably inert: a run with [`NoopSink`]

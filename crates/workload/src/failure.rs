@@ -188,9 +188,8 @@ impl FailureSchedule {
     }
 
     /// The distinct crash instants across the whole fleet, ascending.
-    /// These are the reliability tier's era boundaries: every routing or
-    /// retry decision between two consecutive crash instants sees the same
-    /// set of discovered failures.
+    /// These are the instants at which the fleet loop interrupts a live
+    /// replica and re-routes its casualties.
     pub fn crash_times(&self) -> Vec<SimTime> {
         let mut times: Vec<SimTime> = self.events.iter().map(|e| e.crash).collect();
         times.sort();

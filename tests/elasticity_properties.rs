@@ -21,7 +21,8 @@
 //! * **Armed-but-idle neutrality** — an autoscaler pinned to the fleet
 //!   size plus a shedder that can never fire reproduce the pinned golden
 //!   digests of `tests/fleet_equivalence.rs` bit for bit, even though
-//!   control boundaries (and their observation runs) still execute.
+//!   control instants (and their observations of live replicas) still
+//!   execute.
 
 use loongserve::prelude::*;
 use proptest::prelude::*;
@@ -214,7 +215,7 @@ fn assert_exactly_once(trace: &Trace, outcome: &ElasticFleetOutcome) {
 
 /// Checks that no route lands on a replica between its retirement and its
 /// next re-activation: the drain removes the victim from the routable set
-/// durably, not just for one era.
+/// durably, not just until the next control instant.
 fn assert_no_routes_to_retired(outcome: &ElasticFleetOutcome) {
     // Per replica, the chronological [retired, reactivated) windows.
     #[derive(Clone, Copy)]
@@ -420,8 +421,8 @@ proptest! {
 // The constants below are *the same* goldens as `tests/fleet_equivalence.rs`
 // pins for the plain fleet (same trace recipes, same digest walk): an
 // autoscaler pinned to the fleet size plus a shedder that can never fire
-// must not move a bit, even though control boundaries — observation runs
-// included — still execute. Re-capture (only for intentional behaviour
+// must not move a bit, even though control instants — observations of
+// the live replicas included — still execute. Re-capture (only for intentional behaviour
 // changes) via that suite's GOLDEN_PRINT procedure; the three files
 // (`fleet_equivalence`, `reliability_properties`, this one) must stay in
 // lockstep.

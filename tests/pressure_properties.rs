@@ -287,7 +287,7 @@ fn mmpp_burst_during_an_outage_drains_without_wedging() {
     // whole burst piles onto the surviving replica's constrained pool, the
     // crash's casualties re-enter routing under the retry budget, and the
     // run must still drain completely — no deadlock between the pressure
-    // machinery and the reliability tier's era-segmented execution.
+    // machinery and the reliability tier's crash handling.
     let trace = overload_trace(100, 17);
     let schedule = FailureSchedule::from_events(vec![FailureEvent::new(
         ReplicaId(0),

@@ -1,5 +1,5 @@
 //! Properties of the fleet-scale execution paths: streamed traces and
-//! pooled (parallel) era execution.
+//! pooled (parallel) replica execution.
 //!
 //! Three contracts are pinned here, matching `DESIGN.md` §Fleet-scale
 //! execution:
@@ -12,7 +12,7 @@
 //!   path may never buy its O(active + pending-retries) memory bound with
 //!   a single changed timestamp.
 //! * **Parallel ≡ serial** — with `FleetConfig::parallel` flipped on, the
-//!   bounded worker pool executes era segments concurrently but merges
+//!   bounded worker pool advances replicas concurrently but settles
 //!   them in replica-id order, so reliable and elastic runs under crash
 //!   schedules (retries, breakers, scale events and all) reproduce the
 //!   serial outcome bit for bit.
@@ -56,7 +56,7 @@ fn fleet(replicas: usize, policy: RouterPolicy, parallel: bool) -> FleetEngine {
     FleetEngine::new(config)
 }
 
-/// A crash schedule dense enough to exercise several eras within the
+/// A crash schedule dense enough to exercise several crashes within the
 /// simulated horizon.
 fn crash_schedule(replicas: usize, seed: u64) -> FailureSchedule {
     FailureSchedule::generate(
@@ -216,9 +216,9 @@ proptest! {
         assert_footprint(&footprint, &trace);
     }
 
-    /// (d) Pooled era execution ≡ serial for `run_reliable`: crashes,
-    /// casualties and retries resolve identically when the capped era
-    /// segments run on the worker pool.
+    /// (d) Pooled replica execution ≡ serial for `run_reliable`: crashes,
+    /// casualties and retries resolve identically when the crashing
+    /// replicas advance on the worker pool.
     #[test]
     fn parallel_and_serial_reliable_runs_agree(
         seed in 0u64..1_000_000,
@@ -239,8 +239,8 @@ proptest! {
         prop_assert_eq!(format!("{serial:?}"), format!("{pooled:?}"));
     }
 
-    /// (e) Pooled era execution ≡ serial for `run_elastic`: crash
-    /// boundaries, observation probes, drains and final segments all run
+    /// (e) Pooled replica execution ≡ serial for `run_elastic`: crashes,
+    /// control-instant observations, drains and final runs all go
     /// through the pool without moving a bit.
     #[test]
     fn parallel_and_serial_elastic_runs_agree(
@@ -280,13 +280,13 @@ fn from_trace_stream_replays_verbatim_through_run() {
     assert_eq!(footprint.streamed_requests, trace.len());
 }
 
-/// Boundary-rich schedules flush buckets at every era, so the resident
-/// high-water stays strictly below the stream length — the O(active +
-/// pending-retries) memory claim, pinned on a concrete workload.
+/// A crash restarts its replica empty, so under a crash-rich schedule the
+/// resident high-water stays strictly below the stream length — the
+/// O(active + pending-retries) memory claim, pinned on a concrete workload.
 #[test]
-fn era_boundaries_bound_the_resident_footprint() {
+fn crash_boundaries_bound_the_resident_footprint() {
     // Arrivals spread over ~400s with a crash roughly every 40s: many
-    // eras, each draining its buckets before the next fills.
+    // crashes, each emptying its replica before it fills again.
     let trace = Trace::generate(
         DatasetKind::ShareGpt,
         ArrivalProcess::Poisson { rate: 0.5 },
@@ -304,7 +304,7 @@ fn era_boundaries_bound_the_resident_footprint() {
     assert_eq!(footprint.streamed_requests, trace.len());
     assert!(
         footprint.peak_resident_requests < trace.len() / 2,
-        "era boundaries must flush buckets: peak {} vs {} streamed",
+        "crashes must empty their replicas: peak {} vs {} streamed",
         footprint.peak_resident_requests,
         trace.len()
     );
