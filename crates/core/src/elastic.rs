@@ -15,9 +15,10 @@
 //! * **Control** instants observe the closed window — per-replica
 //!   unresolved backlog and the SLO attainment of the window's completions,
 //!   read off the routable replicas' live sims — and hand the signals to
-//!   the [`Autoscaler`](loong_sched::elastic::Autoscaler). Scale-**up** activates the lowest-id cold (or
-//!   previously retired) replicas, which become routable only after the
-//!   provisioning delay, with an empty KV pool and a cold prefix cache.
+//!   the [`Autoscaler`](loong_sched::elastic::Autoscaler). Scale-**up**
+//!   activates the lowest-id cold (or previously retired) replicas, which
+//!   become routable only after the provisioning delay, with an empty KV
+//!   pool and a cold prefix cache.
 //!   Scale-**down** *drains*: the victim leaves the routable set
 //!   immediately (the router is told via `on_replica_removed`, so durable
 //!   affinity pins are dropped), runs everything already routed to it to
@@ -476,7 +477,7 @@ impl<I: Iterator<Item = Request>> FleetLoop<'_, I> {
     /// inside the window. The routable replicas advance to just before
     /// `b` — arrivals routed at `b` must still join their `b` batch — and
     /// each one's live sim reports its window, completions due at exactly
-    /// `b` included. Nothing is replayed and nothing is discarded.
+    /// `b` included. Observing executes no scheduling point.
     fn observe(&mut self, b: SimTime, cfg: &ElasticConfig) -> (FleetSignals, Vec<u64>) {
         let window_start = b.as_secs() - cfg.autoscaler.control_interval_s;
         let ready = self.ready(b);
@@ -598,7 +599,7 @@ impl<I: Iterator<Item = Request>> FleetLoop<'_, I> {
     /// Runs drain victim `r` to completion, or up to its next scheduled
     /// crash after `b` if that comes first; returns the retirement
     /// instant.
-    fn drain(&mut self, r: usize, b: SimTime, rec: Option<&mut TraceRecorder>) -> SimTime {
+    fn drain(&mut self, r: usize, b: SimTime, mut rec: Option<&mut TraceRecorder>) -> SimTime {
         let replica = ReplicaId::from(r);
         let crash = self
             .policies
@@ -608,11 +609,13 @@ impl<I: Iterator<Item = Request>> FleetLoop<'_, I> {
             .filter(|e| e.replica == replica && e.crash > b)
             .map(|e| e.crash)
             .min();
-        let casualties = self
+        // The crash interrupts the drain only if work is still queued
+        // after it.
+        let interrupted = self
             .advance_each(&[r], |sim, sink| match crash {
                 Some(c) => {
                     sim.advance_through(c, sink);
-                    sim.next_event_time().map(|_| sim.crash(c, sink))
+                    sim.next_event_time().map(|_| (c, sim.crash(c, sink)))
                 }
                 None => {
                     sim.run_to_end(sink);
@@ -622,17 +625,17 @@ impl<I: Iterator<Item = Request>> FleetLoop<'_, I> {
             .pop()
             .expect("the victim is live")
             .1;
-        let mut rec = rec;
         let finish = self.end_segment(r, rec.as_deref_mut());
-        match (casualties, crash) {
-            (Some(casualties), Some(c)) => {
+        match interrupted {
+            Some((c, casualties)) => {
                 self.settle_casualties(casualties, replica, c, rec);
                 c
             }
-            _ => finish.max(b),
+            None => finish.max(b),
         }
     }
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;

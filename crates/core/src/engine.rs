@@ -535,7 +535,7 @@ impl<S: Scheduler + ?Sized> ServingEngine<S> {
 /// costs O(active requests + actions) instead of O(all requests ever
 /// seen). Debug builds shadow every view with a naive full-scan rebuild
 /// and assert equality.
-pub struct ReplicaSim<E> {
+pub(crate) struct ReplicaSim<E> {
     engine: E,
     state: SimState,
 }
@@ -1688,7 +1688,8 @@ impl Work {
     fn finishing(&self, table: &RequestTable<RequestState>) -> Vec<RequestId> {
         let decoded_last = |id: &RequestId| {
             let s = table.get(*id).expect("known request");
-            matches!(s.phase, Phase::Decoding { generated } if generated + 1 >= s.request.output_len)
+            let output_len = s.request.output_len;
+            matches!(s.phase, Phase::Decoding { generated } if generated + 1 >= output_len)
         };
         let prefilled_last = |id: RequestId| {
             let s = table.get(id).expect("known request");
@@ -1974,5 +1975,98 @@ mod tests {
         let ob = b.run(&trace);
         assert_eq!(oa.records, ob.records);
         assert_eq!(oa.iterations, ob.iterations);
+    }
+
+    /// A LoongServe engine whose runs stop at `cap`, as a crash at `cap`
+    /// would stop them.
+    fn engine_capped_at(cap: SimTime) -> ServingEngine {
+        let mut engine = engine_for(SystemKind::LoongServe);
+        engine.config.max_sim_time = Some(SimDuration::from_secs(cap.as_secs()));
+        engine
+    }
+
+    #[test]
+    fn a_paused_sim_reads_and_crashes_like_a_run_capped_at_the_instant() {
+        let trace = small_trace(6.0, 40, 21);
+        let full = engine_for(SystemKind::LoongServe).run(&trace);
+        // Exact completion instants (their batch is still queued when the
+        // sim pauses just before them) and instants between completions.
+        let instants = full.records.iter().step_by(4).flat_map(|r| {
+            [
+                r.finish,
+                SimTime::from_secs(r.finish.as_secs() * 0.5 + 0.05),
+            ]
+        });
+        for at in instants {
+            let window_start_s = at.as_secs() - 2.0;
+            let capped = engine_capped_at(at).run(&trace);
+            let resolved: BTreeSet<RequestId> = capped
+                .records
+                .iter()
+                .map(|r| r.id)
+                .chain(capped.rejected.iter().map(|r| r.0))
+                .collect();
+            let unresolved: Vec<&Request> = trace
+                .requests
+                .iter()
+                .filter(|r| !resolved.contains(&r.id))
+                .collect();
+            let backlog: u64 = unresolved
+                .iter()
+                .map(|r| r.input_len + r.max_output_len)
+                .sum();
+            let in_window: Vec<RequestRecord> = capped
+                .records
+                .iter()
+                .filter(|r| r.finish.as_secs() > window_start_s)
+                .copied()
+                .collect();
+
+            let mut engine = engine_for(SystemKind::LoongServe);
+            let mut sim = ReplicaSim::new(&mut engine);
+            for req in &trace.requests {
+                sim.inject(req.clone());
+            }
+            sim.advance_until(at, &mut NoopSink);
+            let mut window = Vec::new();
+            assert_eq!(
+                sim.observe(at, window_start_s, &mut window),
+                backlog,
+                "{at:?}"
+            );
+            window.sort_by_key(|r| r.id);
+            assert_eq!(window, in_window, "{at:?}");
+
+            let casualties: Vec<RequestId> =
+                sim.crash(at, &mut NoopSink).iter().map(|r| r.id).collect();
+            let expected: Vec<RequestId> = unresolved.iter().map(|r| r.id).collect();
+            assert_eq!(casualties, expected, "{at:?}");
+            let crashed = sim.finish();
+            assert_eq!(crashed.records, capped.records, "{at:?}");
+            assert_eq!(crashed.sim_time, capped.sim_time, "{at:?}");
+            assert_eq!(crashed.scheduler_calls, capped.scheduler_calls, "{at:?}");
+            assert_eq!(crashed.unfinished, 0);
+        }
+    }
+
+    #[test]
+    fn pausing_a_sim_does_not_change_its_run() {
+        let trace = small_trace(6.0, 40, 22);
+        let full = engine_for(SystemKind::LoongServe).run(&trace);
+        let mut engine = engine_for(SystemKind::LoongServe);
+        let mut sim = ReplicaSim::new(&mut engine);
+        for req in &trace.requests {
+            sim.inject(req.clone());
+        }
+        for record in full.records.iter().step_by(3) {
+            sim.advance_until(record.finish, &mut NoopSink);
+            sim.observe(record.finish, 0.0, &mut Vec::new());
+        }
+        sim.run_to_end(&mut NoopSink);
+        let resumed = sim.finish();
+        assert_eq!(resumed.records, full.records);
+        assert_eq!(resumed.sim_time, full.sim_time);
+        assert_eq!(resumed.iterations, full.iterations);
+        assert_eq!(resumed.scheduler_calls, full.scheduler_calls);
     }
 }
