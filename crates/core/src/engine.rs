@@ -502,8 +502,8 @@ impl<S: Scheduler + ?Sized> ServingEngine<S> {
 
     /// Runs the engine over a trace, emitting every request lifecycle
     /// edge, cache event and scheduling-point gauge into `sink`: every
-    /// request is injected into a [`ReplicaSim`], which then advances to
-    /// the end of the run.
+    /// request is injected into a `ReplicaSim`, which then advances to the
+    /// end of the run.
     pub fn run_traced(&mut self, trace: &Trace, sink: &mut dyn TraceSink) -> RunOutcome {
         let mut sim = ReplicaSim::with_capacity(self, trace.requests.len());
         for req in &trace.requests {

@@ -12,7 +12,7 @@
 //! Every fleet run — plain, under failure injection
 //! ([`FleetEngine::run_reliable`]) or elastic
 //! ([`FleetEngine::run_elastic`]) — is one loop over live
-//! [`ReplicaSim`]s, one per replica slot:
+//! `ReplicaSim`s, one per replica slot:
 //!
 //! 1. **Route.** Arrivals (and crash retries) are walked in
 //!    `(arrival, id)` order; the configured [`Router`] assigns each to a
@@ -486,7 +486,7 @@ pub(crate) type LiveSim = ReplicaSim<Box<ServingEngine<dyn Scheduler + Send>>>;
 /// recorder observing that sim in traced runs, and the outcome merged from
 /// its finished segments.
 #[derive(Default)]
-pub(crate) struct Slot {
+struct Slot {
     live: Option<(LiveSim, Option<TraceRecorder>)>,
     merged: Option<RunOutcome>,
 }
@@ -511,19 +511,19 @@ pub(crate) struct FleetLoop<'a, I: Iterator<Item = Request>> {
     parallel: bool,
     trace_config: Option<TraceConfig>,
     pub(crate) router: &'a mut dyn Router,
-    pub(crate) source: Peekable<I>,
+    source: Peekable<I>,
     pub(crate) life: Vec<Life>,
     tracker: FleetLoadTracker,
     breaker: Option<CircuitBreaker>,
     pub(crate) admission: Option<AdmissionController>,
     pub(crate) autoscaler: Option<Autoscaler>,
-    pub(crate) slots: Vec<Slot>,
+    slots: Vec<Slot>,
     assignments: Vec<(RequestId, ReplicaId)>,
     assigned: Vec<usize>,
     /// Retries waiting for their backoff to elapse, keyed by
     /// (re-arrival, id) — the deterministic interleave order with
     /// original arrivals. The value carries the attempt count consumed.
-    pub(crate) pending: BTreeMap<(SimTime, RequestId), (Request, u32)>,
+    pending: BTreeMap<(SimTime, RequestId), (Request, u32)>,
     retries_used: BTreeMap<RequestId, u32>,
     casualty_ids: BTreeSet<RequestId>,
     /// The ledgers the run returns.
@@ -719,7 +719,7 @@ impl<'a, I: Iterator<Item = Request>> FleetLoop<'a, I> {
         self.tracker.on_assign(replica, &route_req);
         self.routed_since_observation = self
             .routed_since_observation
-            .saturating_add(req.input_len + req.max_output_len);
+            .saturating_add(route_req.queued_tokens());
         (replica, start)
     }
 

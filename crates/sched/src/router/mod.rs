@@ -70,9 +70,7 @@ impl RouteRequest {
             conversation: req.conversation,
         }
     }
-}
 
-impl RouteRequest {
     /// Worst-case tokens the request will queue behind it: prompt plus the
     /// declared output bound (the router's analogue of queued work).
     pub fn queued_tokens(&self) -> u64 {

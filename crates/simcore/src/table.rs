@@ -5,9 +5,8 @@
 //! O(all requests) and a whole trace O(N²); [`RequestTable`] makes the view
 //! O(active) instead. It is a packed slab, found through a dense
 //! [`RequestId`] index, whose entries each carry a coarse [`PhaseClass`];
-//! for every class the table
-//! maintains an index set ordered by **admission rank** — the order in which
-//! requests became visible to the scheduler. Phase transitions move an entry
+//! for every class the table maintains an index set ordered by **admission
+//! rank** — the order in which requests became visible to the scheduler. Phase transitions move an entry
 //! between index sets in O(log n); iterating one class visits exactly the
 //! requests in that class, in the same order a full scan over an append-only
 //! arrival log would produce. That ordering guarantee is what keeps
