@@ -474,14 +474,19 @@ impl<I: Iterator<Item = Request>> FleetLoop<'_, I> {
 
     /// Measures the window that closes at `b`: per-replica unresolved
     /// backlog (worst-case tokens) and the SLO attainment of completions
-    /// inside the window. The routable replicas advance to just before
-    /// `b` — arrivals routed at `b` must still join their `b` batch — and
-    /// each one's live sim reports its window, completions due at exactly
-    /// `b` included. Observing executes no scheduling point.
+    /// inside the window, read off the routable replicas' live sims.
+    /// Observing executes no scheduling point the run would not execute
+    /// anyway: the replicas process `b` itself unless an arrival routed at
+    /// `b` must still join their `b` batch, in which case they stop just
+    /// before it and report the completions due at `b` off their queues.
     fn observe(&mut self, b: SimTime, cfg: &ElasticConfig) -> (FleetSignals, Vec<u64>) {
         let window_start = b.as_secs() - cfg.autoscaler.control_interval_s;
         let ready = self.ready(b);
-        self.advance_each(&ready, |sim, sink| sim.advance_until(b, sink));
+        if self.arrival_due_at(b) {
+            self.advance_each(&ready, |sim, sink| sim.advance_until(b, sink));
+        } else {
+            self.advance_each(&ready, |sim, sink| sim.advance_through(b, sink));
+        }
         let mut backlogs = vec![0u64; self.n];
         let mut window_records: Vec<RequestRecord> = Vec::new();
         for &r in &ready {

@@ -739,13 +739,13 @@ impl<S: Scheduler + ?Sized, E: DerefMut<Target = ServingEngine<S>>> ReplicaSim<E
         }
     }
 
-    /// Reads a control window closing at `at` off a sim advanced to just
-    /// before `at`: appends to `window` the completions inside
-    /// `(window_start_s, at]` and returns the worst-case tokens
-    /// (`input_len + max_output_len`) of the injected requests still
-    /// unresolved at `at`. Completions due at exactly `at` are read off the
-    /// work queue without processing their batch, so arrivals routed at
-    /// `at` can still join it.
+    /// Reads a control window closing at `at` off a sim advanced to `at`
+    /// (through it, or to just before it): appends to `window` the
+    /// completions inside `(window_start_s, at]` and returns the
+    /// worst-case tokens (`input_len + max_output_len`) of the injected
+    /// requests still unresolved at `at`. Completions due at exactly `at`
+    /// in a batch not yet processed are read off the work queue, so
+    /// arrivals routed at `at` can still join that batch.
     pub fn observe(
         &mut self,
         at: SimTime,
@@ -755,7 +755,7 @@ impl<S: Scheduler + ?Sized, E: DerefMut<Target = ServingEngine<S>>> ReplicaSim<E
         let st = &mut self.state;
         debug_assert!(
             st.next_event_time().is_none_or(|t| t >= at),
-            "observe needs a sim advanced to just before {at:?}"
+            "observe needs a sim advanced to {at:?}"
         );
         let finish_s = |id: RequestId| {
             let s = st.table.get(id).expect("known request");

@@ -23,9 +23,10 @@
 //! 2. **Sync at boundaries only.** Replicas advance only when something
 //!    needs their state: a crash advances the crashing replica through the
 //!    crash instant and takes its unresolved requests as casualties; a
-//!    control instant advances the routable replicas to just before it and
-//!    reads their backlog and window completions; a scale-down drains its
-//!    victim at once. Every iteration is executed exactly once.
+//!    control instant advances the routable replicas to it (to just before
+//!    it while an arrival at that very instant still has to join their
+//!    batch) and reads their backlog and window completions; a scale-down
+//!    drains its victim at once. Every iteration is executed exactly once.
 //! 3. **Merge.** After the last arrival every live sim runs to completion
 //!    and the per-replica [`RunOutcome`]s — one segment per crash or drain,
 //!    plus the last — merge into a [`FleetOutcome`]: records and
@@ -721,6 +722,13 @@ impl<'a, I: Iterator<Item = Request>> FleetLoop<'a, I> {
             .routed_since_observation
             .saturating_add(route_req.queued_tokens());
         (replica, start)
+    }
+
+    /// True when an arrival or a retry still to be routed arrives at
+    /// exactly `at`: everything due earlier is routed already.
+    pub(crate) fn arrival_due_at(&mut self, at: SimTime) -> bool {
+        self.source.peek().is_some_and(|req| req.arrival == at)
+            || self.pending.keys().next().is_some_and(|&(t, _)| t == at)
     }
 
     /// Replica `r`'s live sim, if its slot holds one.
