@@ -69,6 +69,9 @@ fi
 step "cargo bench --no-run --locked (all figure/microbench targets compile)"
 cargo bench --no-run --locked
 
+step "scheduler microbench, one call per case (report only, no gate)"
+cargo bench --locked --bench scheduler_microbench -- --smoke
+
 step "build the bench gate"
 cargo build --release --locked -p xtask
 

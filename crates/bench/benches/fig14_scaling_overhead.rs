@@ -12,7 +12,7 @@ use loong_model::config::ModelConfig;
 use loong_model::roofline::{CostModel, ParallelConfig};
 
 fn main() {
-    let cm = CostModel::builder(ModelConfig::lwm_1m_text()).build();
+    let cm = CostModel::new(ModelConfig::lwm_1m_text());
     let link = LinkSpec::nvlink_a800();
     let p = ParallelConfig::new(2, 4);
     // The paper's batch-size / prompt-length pairs.

@@ -10,7 +10,7 @@ use loong_model::sib::ScalingInfoBase;
 use loong_simcore::rng::SimRng;
 
 fn main() {
-    let cm = CostModel::builder(ModelConfig::lwm_1m_text()).build();
+    let cm = CostModel::new(ModelConfig::lwm_1m_text());
     let link = LinkSpec::nvlink_a800();
     let strategies = [
         ("SP2TP4", ParallelConfig::new(4, 2)),

@@ -11,7 +11,7 @@ use loong_model::config::ModelConfig;
 use loong_model::roofline::{CostModel, ParallelConfig};
 
 fn main() {
-    let cm = CostModel::builder(ModelConfig::lwm_1m_text()).build();
+    let cm = CostModel::new(ModelConfig::lwm_1m_text());
     let link = LinkSpec::nvlink_a800();
     let tps = [1usize, 2, 4, 8];
 

@@ -10,7 +10,7 @@ use loong_model::config::ModelConfig;
 use loong_model::roofline::{CostModel, ParallelConfig};
 
 fn main() {
-    let cm = CostModel::builder(ModelConfig::lwm_1m_text()).build();
+    let cm = CostModel::new(ModelConfig::lwm_1m_text());
     let link = LinkSpec::nvlink_a800();
     // All three strategies use the same eight GPUs.
     let strategies = [

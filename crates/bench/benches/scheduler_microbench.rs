@@ -1,12 +1,18 @@
-//! Criterion micro-benchmarks of the scheduling hot path.
+//! Micro-benchmarks of the scheduling hot path.
 //!
 //! The paper stresses that the global manager must decide within an
 //! iteration-scale budget (tens of milliseconds). These benchmarks measure
 //! the cost of the batching DP (naive vs. monotone-optimised), a full
 //! LoongServe scheduling step, and one simulated serving iteration, to show
-//! the Rust implementation stays far inside that budget.
+//! the Rust implementation stays far inside that budget. Each case prints
+//! the mean wall time per call over a fixed number of calls, after one
+//! untimed warm-up call.
+//!
+//! ```sh
+//! cargo bench --bench scheduler_microbench              # 20 calls per case (10 end to end)
+//! cargo bench --bench scheduler_microbench -- --smoke   # 1 call per case (CI, report only)
+//! ```
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use loong_cluster::topology::ClusterSpec;
 use loong_esp::instance::InstanceRegistry;
 use loong_kvcache::unified::UnifiedKvPool;
@@ -19,6 +25,8 @@ use loong_sched::types::{PendingRequest, Scheduler, SchedulerView};
 use loong_simcore::ids::{InstanceId, RequestId};
 use loong_simcore::rng::SimRng;
 use loong_simcore::time::SimTime;
+use std::hint::black_box;
+use std::time::Instant;
 
 struct Fixture {
     registry: InstanceRegistry,
@@ -31,7 +39,7 @@ struct Fixture {
 
 fn fixture(num_pending: usize) -> Fixture {
     let registry = InstanceRegistry::build(&ClusterSpec::single_node_a800(8), 2);
-    let cost_model = CostModel::builder(ModelConfig::lwm_1m_text()).build();
+    let cost_model = CostModel::new(ModelConfig::lwm_1m_text());
     let mut rng = SimRng::seed(77);
     let configs: Vec<_> = (1..=4)
         .map(|sp| loong_model::roofline::ParallelConfig::new(2, sp))
@@ -79,55 +87,58 @@ fn view(f: &Fixture) -> SchedulerView<'_> {
     }
 }
 
-fn bench_batching_dp(c: &mut Criterion) {
-    let mut group = c.benchmark_group("batching_dp");
+/// Runs `routine` once untimed, then `calls` times, and prints the mean
+/// wall time per call.
+fn time_mean<O>(label: &str, calls: u32, mut routine: impl FnMut() -> O) {
+    black_box(routine());
+    let start = Instant::now();
+    for _ in 0..calls {
+        black_box(routine());
+    }
+    println!(
+        "bench {label}: {:?}/call (n={calls})",
+        start.elapsed() / calls
+    );
+}
+
+fn bench_batching_dp(calls: u32) {
     for &n in &[4usize, 8, 16, 32] {
         let f = fixture(n);
         let admitted: Vec<(RequestId, u64)> =
             f.pending.iter().map(|p| (p.id, p.input_len)).collect();
         let instances = f.registry.all_ids();
-        group.bench_with_input(BenchmarkId::new("optimized", n), &n, |b, _| {
-            b.iter(|| batch_requests(&view(&f), &admitted, &instances))
+        time_mean(&format!("batching_dp/optimized/{n}"), calls, || {
+            batch_requests(&view(&f), &admitted, &instances)
         });
-        group.bench_with_input(BenchmarkId::new("naive", n), &n, |b, _| {
-            b.iter(|| batch_requests_naive(&view(&f), &admitted, &instances))
+        time_mean(&format!("batching_dp/naive/{n}"), calls, || {
+            batch_requests_naive(&view(&f), &admitted, &instances)
         });
     }
-    group.finish();
 }
 
-fn bench_full_schedule(c: &mut Criterion) {
-    let mut group = c.benchmark_group("loongserve_schedule");
+fn bench_full_schedule(calls: u32) {
     for &n in &[8usize, 64, 256] {
         let f = fixture(n);
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| {
-                let mut sched = LoongServeScheduler::new();
-                sched.schedule(&view(&f))
-            })
+        time_mean(&format!("loongserve_schedule/{n}"), calls, || {
+            let mut sched = LoongServeScheduler::new();
+            sched.schedule(&view(&f))
         });
     }
-    group.finish();
 }
 
-fn bench_serving_iterations(c: &mut Criterion) {
+fn bench_serving_iterations(calls: u32) {
     use loongserve::prelude::*;
-    let mut group = c.benchmark_group("end_to_end_run");
-    group.sample_size(10);
-    group.bench_function("loongserve_sharegpt_40req", |b| {
-        b.iter(|| {
-            let system = SystemUnderTest::paper_single_node(SystemKind::LoongServe);
-            let trace = WorkloadSpec::Dataset(DatasetKind::ShareGpt).generate(5.0, 40, 3);
-            system.run(&trace, 5.0, &SloSpec::default_for_lwm())
-        })
+    time_mean("end_to_end_run/loongserve_sharegpt_40req", calls, || {
+        let system = SystemUnderTest::paper_single_node(SystemKind::LoongServe);
+        let trace = WorkloadSpec::Dataset(DatasetKind::ShareGpt).generate(5.0, 40, 3);
+        system.run(&trace, 5.0, &SloSpec::default_for_lwm())
     });
-    group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_batching_dp,
-    bench_full_schedule,
-    bench_serving_iterations
-);
-criterion_main!(benches);
+fn main() {
+    let smoke = std::env::args().any(|a| a == "--smoke");
+    let (calls, end_to_end_calls) = if smoke { (1, 1) } else { (20, 10) };
+    bench_batching_dp(calls);
+    bench_full_schedule(calls);
+    bench_serving_iterations(end_to_end_calls);
+}

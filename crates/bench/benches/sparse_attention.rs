@@ -53,9 +53,7 @@ fn main() {
         "context", "dense", "page-sparse", "hier-prefill"
     );
     let decode_cost = |policy: &AttentionCostPolicy, ctx: u64| -> f64 {
-        let cm = CostModel::builder(ModelConfig::lwm_1m_text())
-            .attention(*policy)
-            .build();
+        let cm = CostModel::new(ModelConfig::lwm_1m_text()).with_attention(*policy);
         let lens = vec![ctx; batch];
         cm.decode_cost(&lens, decode_parallel, decode_parallel.sp, link)
             .total()
@@ -97,9 +95,7 @@ fn main() {
     let decode_cases: [(usize, u64); 3] = [(64, 10_000), (16, 50_000), (4, 100_000)];
     let mut esp_prefill_adv = Vec::new();
     for policy in &policies {
-        let cm = CostModel::builder(ModelConfig::lwm_1m_text())
-            .attention(*policy)
-            .build();
+        let cm = CostModel::new(ModelConfig::lwm_1m_text()).with_attention(*policy);
         println!("\nESP vs TP under policy `{}`:", policy.label());
         println!(
             "{:>8} {:>6} {:>9} | {:>12} {:>12} {:>12} | best",

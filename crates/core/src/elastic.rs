@@ -472,21 +472,17 @@ impl<I: Iterator<Item = Request>> FleetLoop<'_, I> {
             self.out.elasticity.max_active_replicas.max(active);
     }
 
-    /// Measures the window that closes at `b`: per-replica unresolved
-    /// backlog (worst-case tokens) and the SLO attainment of completions
-    /// inside the window, read off the routable replicas' live sims.
+    /// Measures the window `(b − Δ, b]`: per-replica unresolved backlog
+    /// (worst-case tokens) and the SLO attainment of completions inside
+    /// the window, read off the routable replicas' live sims once they
+    /// have processed `b` itself. Every arrival due by `b` is routed
+    /// already, so it has joined its `b` batch and counts in the backlog.
     /// Observing executes no scheduling point the run would not execute
-    /// anyway: the replicas process `b` itself unless an arrival routed at
-    /// `b` must still join their `b` batch, in which case they stop just
-    /// before it and report the completions due at `b` off their queues.
+    /// anyway.
     fn observe(&mut self, b: SimTime, cfg: &ElasticConfig) -> (FleetSignals, Vec<u64>) {
         let window_start = b.as_secs() - cfg.autoscaler.control_interval_s;
         let ready = self.ready(b);
-        if self.arrival_due_at(b) {
-            self.advance_each(&ready, |sim, sink| sim.advance_until(b, sink));
-        } else {
-            self.advance_each(&ready, |sim, sink| sim.advance_through(b, sink));
-        }
+        self.advance_each(&ready, |sim, sink| sim.advance_through(b, sink));
         let mut backlogs = vec![0u64; self.n];
         let mut window_records: Vec<RequestRecord> = Vec::new();
         for &r in &ready {
@@ -747,6 +743,33 @@ mod tests {
             }
         }
         assert!(outcome.elasticity.provisioning_s > 0.0);
+    }
+
+    #[test]
+    fn an_arrival_at_a_control_instant_counts_in_its_backlog() {
+        // The long request arrives at exactly the first control instant:
+        // it is routed before that instant's decision, so its tokens alone
+        // push the backlog over the scale-up threshold at 5 s.
+        let requests = vec![
+            Request::new(RequestId(0), SimTime::from_secs(0.1), 200, 20),
+            Request::new(RequestId(1), SimTime::from_secs(5.0), 20_000, 2_000),
+        ];
+        let trace = Trace::from_requests("arrival at a control instant", requests);
+        let mut scaler = AutoscalerConfig::overload_defaults(1, 2);
+        scaler.control_interval_s = 5.0;
+        scaler.cooldown_s = 0.0;
+        scaler.scale_up_backlog_tokens = 10_000;
+        scaler.scale_down_backlog_tokens = 1;
+        let cfg = ElasticConfig::new(scaler);
+        let mut engine = fleet(2, RouterPolicy::RoundRobin);
+        let outcome = engine.run_elastic(&trace, &cfg);
+        exactly_once(&outcome, &trace);
+        let first_activation = outcome
+            .scale_events
+            .iter()
+            .find(|e| matches!(e.kind, FleetScaleKind::Activated { .. }))
+            .expect("the backlog must trigger a scale-up");
+        assert_eq!(first_activation.at, SimTime::from_secs(5.0));
     }
 
     #[test]

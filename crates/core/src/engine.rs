@@ -457,10 +457,11 @@ impl<S: Scheduler + ?Sized> ServingEngine<S> {
         config.cluster.validate().expect("valid cluster");
         config.model.validate().expect("valid model");
         let registry = InstanceRegistry::build(&config.cluster, config.tp);
-        let cost_model = CostModel::builder(config.model.clone())
-            .gpu(config.cluster.gpu.clone())
-            .attention(config.attention)
-            .build();
+        let cost_model = CostModel {
+            gpu: config.cluster.gpu.clone(),
+            attention: config.attention,
+            ..CostModel::new(config.model.clone())
+        };
         let mut rng = SimRng::seed(config.seed);
         let configs: Vec<ParallelConfig> = (1..=registry.num_instances())
             .map(|sp| ParallelConfig::new(config.tp, sp))
@@ -673,12 +674,6 @@ impl<S: Scheduler + ?Sized, E: DerefMut<Target = ServingEngine<S>>> ReplicaSim<E
         self.state.next_event_time()
     }
 
-    /// Processes every batch strictly before `t`: arrivals injected at `t`
-    /// afterwards still join the `t` batch.
-    pub fn advance_until(&mut self, t: SimTime, sink: &mut dyn TraceSink) {
-        self.advance(|next| next < t, sink);
-    }
-
     /// Processes every batch at or before `t`.
     pub fn advance_through(&mut self, t: SimTime, sink: &mut dyn TraceSink) {
         self.advance(|next| next <= t, sink);
@@ -739,13 +734,11 @@ impl<S: Scheduler + ?Sized, E: DerefMut<Target = ServingEngine<S>>> ReplicaSim<E
         }
     }
 
-    /// Reads a control window closing at `at` off a sim advanced to `at`
-    /// (through it, or to just before it): appends to `window` the
-    /// completions inside `(window_start_s, at]` and returns the
-    /// worst-case tokens (`input_len + max_output_len`) of the injected
-    /// requests still unresolved at `at`. Completions due at exactly `at`
-    /// in a batch not yet processed are read off the work queue, so
-    /// arrivals routed at `at` can still join that batch.
+    /// Reads a control window closing at `at` off a sim advanced through
+    /// `at`: appends to `window` the completions inside
+    /// `(window_start_s, at]` and returns the worst-case tokens
+    /// (`input_len + max_output_len`) of the injected requests still
+    /// unresolved at `at`.
     pub fn observe(
         &mut self,
         at: SimTime,
@@ -754,8 +747,8 @@ impl<S: Scheduler + ?Sized, E: DerefMut<Target = ServingEngine<S>>> ReplicaSim<E
     ) -> u64 {
         let st = &mut self.state;
         debug_assert!(
-            st.next_event_time().is_none_or(|t| t >= at),
-            "observe needs a sim advanced to {at:?}"
+            st.next_event_time().is_none_or(|t| t > at),
+            "observe needs a sim advanced through {at:?}"
         );
         let finish_s = |id: RequestId| {
             let s = st.table.get(id).expect("known request");
@@ -771,21 +764,7 @@ impl<S: Scheduler + ?Sized, E: DerefMut<Target = ServingEngine<S>>> ReplicaSim<E
                 .iter()
                 .map(|&id| record_of(st.table.get(id).expect("known request"))),
         );
-        let mut backlog = st.unresolved_tokens;
-        for event in st.work.iter().filter(|e| e.at == at) {
-            let work = st
-                .in_flight
-                .get(&event.payload)
-                .expect("queued work is in flight");
-            for id in work.finishing(&st.table) {
-                let s = st.table.get(id).expect("known request");
-                backlog -= s.request.input_len + s.request.max_output_len;
-                if at.as_secs() > window_start_s {
-                    window.push(completion_record(s, s.first_token.unwrap_or(at), at));
-                }
-            }
-        }
-        backlog
+        st.unresolved_tokens
     }
 
     fn advance(&mut self, mut admit: impl FnMut(SimTime) -> bool, sink: &mut dyn TraceSink) {
@@ -1646,24 +1625,16 @@ impl SimState {
 
 /// The record of a request that completed.
 fn record_of(s: &RequestState) -> RequestRecord {
-    completion_record(
-        s,
-        s.first_token
-            .expect("finished requests produced a first token"),
-        s.finish.expect("finished requests finished"),
-    )
-}
-
-/// The record of a request completing at `finish`.
-fn completion_record(s: &RequestState, first_token: SimTime, finish: SimTime) -> RequestRecord {
     RequestRecord {
         id: s.request.id,
         arrival: s.request.arrival,
         input_len: s.request.input_len,
         output_len: s.request.output_len,
         prefill_start: s.prefill_start.expect("finished requests started prefill"),
-        first_token,
-        finish,
+        first_token: s
+            .first_token
+            .expect("finished requests produced a first token"),
+        finish: s.finish.expect("finished requests finished"),
         preemptions: s.preemptions,
         class: s.request.class,
     }
@@ -1678,52 +1649,6 @@ impl Work {
             | Work::ChunkedPrefill { instances, .. } => instances,
             Work::Migration { .. } | Work::Preempt | Work::SwapOut { .. } | Work::SwapIn { .. } => {
                 &[]
-            }
-        }
-    }
-
-    /// The requests this work completes when it finishes — exactly the ones
-    /// [`SimState::complete_work`] will finish, computed without touching
-    /// any state.
-    fn finishing(&self, table: &RequestTable<RequestState>) -> Vec<RequestId> {
-        let decoded_last = |id: &RequestId| {
-            let s = table.get(*id).expect("known request");
-            let output_len = s.request.output_len;
-            matches!(s.phase, Phase::Decoding { generated } if generated + 1 >= output_len)
-        };
-        let prefilled_last = |id: RequestId| {
-            let s = table.get(id).expect("known request");
-            s.request.output_len <= s.resume_generated.max(1)
-        };
-        match self {
-            Work::Prefill { requests, .. } => requests
-                .iter()
-                .copied()
-                .filter(|&id| prefilled_last(id))
-                .collect(),
-            Work::Decode { requests, .. } => {
-                requests.iter().copied().filter(decoded_last).collect()
-            }
-            Work::ChunkedPrefill {
-                prefill_request,
-                prefilled_after,
-                decode_requests,
-                ..
-            } => {
-                let s = table.get(*prefill_request).expect("known request");
-                let prompt_done = *prefilled_after >= s.effective_input();
-                let mut ids: Vec<RequestId> = decode_requests
-                    .iter()
-                    .copied()
-                    .filter(decoded_last)
-                    .collect();
-                if prompt_done && prefilled_last(*prefill_request) {
-                    ids.push(*prefill_request);
-                }
-                ids
-            }
-            Work::Migration { .. } | Work::Preempt | Work::SwapOut { .. } | Work::SwapIn { .. } => {
-                Vec::new()
             }
         }
     }
@@ -1989,8 +1914,8 @@ mod tests {
     fn a_paused_sim_reads_and_crashes_like_a_run_capped_at_the_instant() {
         let trace = small_trace(6.0, 40, 21);
         let full = engine_for(SystemKind::LoongServe).run(&trace);
-        // Exact completion instants (their batch is still queued when the
-        // sim pauses just before them) and instants between completions.
+        // Exact completion instants (the pause processes their batch, as
+        // the capped run does) and instants between completions.
         let instants = full.records.iter().step_by(4).flat_map(|r| {
             [
                 r.finish,
@@ -2027,7 +1952,7 @@ mod tests {
             for req in &trace.requests {
                 sim.inject(req.clone());
             }
-            sim.advance_until(at, &mut NoopSink);
+            sim.advance_through(at, &mut NoopSink);
             let mut window = Vec::new();
             assert_eq!(
                 sim.observe(at, window_start_s, &mut window),
@@ -2059,7 +1984,7 @@ mod tests {
             sim.inject(req.clone());
         }
         for record in full.records.iter().step_by(3) {
-            sim.advance_until(record.finish, &mut NoopSink);
+            sim.advance_through(record.finish, &mut NoopSink);
             sim.observe(record.finish, 0.0, &mut Vec::new());
         }
         sim.run_to_end(&mut NoopSink);

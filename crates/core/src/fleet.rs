@@ -21,11 +21,11 @@
 //!    replica's live sim at once. Routing is open-loop: it never waits for
 //!    a replica to catch up.
 //! 2. **Sync at boundaries only.** Replicas advance only when something
-//!    needs their state: a crash advances the crashing replica through the
-//!    crash instant and takes its unresolved requests as casualties; a
-//!    control instant advances the routable replicas to it (to just before
-//!    it while an arrival at that very instant still has to join their
-//!    batch) and reads their backlog and window completions; a scale-down
+//!    needs their state. At a boundary `b`, a crash first advances the
+//!    crashing replica through `b` and takes its unresolved requests as
+//!    casualties; then the arrivals and retries due at exactly `b` are
+//!    routed; then a control instant advances the routable replicas through
+//!    `b` and reads their backlog and window completions, and a scale-down
 //!    drains its victim at once. Every iteration is executed exactly once.
 //! 3. **Merge.** After the last arrival every live sim runs to completion
 //!    and the per-replica [`RunOutcome`]s — one segment per crash or drain,
@@ -73,6 +73,7 @@ use loong_workload::stream::TraceStream;
 use loong_workload::trace::Trace;
 use std::collections::{BTreeMap, BTreeSet};
 use std::iter::Peekable;
+use std::ops::Bound;
 
 /// Static configuration of a fleet run.
 #[derive(Debug, Clone)]
@@ -334,16 +335,6 @@ impl FleetEngine {
         self.run_plain(stream, None)
     }
 
-    /// Streamed fleet run with every replica observed by `recorder` — the
-    /// streamed counterpart of [`FleetEngine::run_traced`].
-    pub fn run_stream_traced(
-        &mut self,
-        stream: TraceStream,
-        recorder: &mut TraceRecorder,
-    ) -> (FleetOutcome, FleetFootprint) {
-        self.run_plain(stream, Some(recorder))
-    }
-
     fn run_plain(
         &mut self,
         source: impl Iterator<Item = Request>,
@@ -407,19 +398,21 @@ impl FleetEngine {
                 (None, Some(t)) => t,
                 (Some(c), Some(t)) => c.min(t),
             };
-            run.route_before(Some(b), recorder.as_deref_mut());
-            // At a shared instant crashes resolve first: the control
-            // observation then sees the post-crash fleet.
+            // At `b`: crashes resolve first, then the arrivals due at
+            // exactly `b` are routed, and only then does the control
+            // observation read the post-crash fleet with them in it.
+            run.route_up_to(Bound::Excluded(b), recorder.as_deref_mut());
             if next_crash == Some(b) {
                 run.crash_boundary(b, recorder.as_deref_mut());
                 ci += 1;
             }
+            run.route_up_to(Bound::Included(b), recorder.as_deref_mut());
             if let Some(cfg) = control.filter(|_| next_control == Some(b)) {
                 run.control_boundary(b, cfg, recorder.as_deref_mut());
                 k += 1;
             }
         }
-        run.route_before(None, recorder.as_deref_mut());
+        run.route_up_to(Bound::Unbounded, recorder.as_deref_mut());
         let (fleet, run) = run.finish(recorder.as_deref_mut());
         if let Some(rec) = recorder {
             rec.finalize(fleet.sim_time);
@@ -523,8 +516,8 @@ pub(crate) struct FleetLoop<'a, I: Iterator<Item = Request>> {
     assigned: Vec<usize>,
     /// Retries waiting for their backoff to elapse, keyed by
     /// (re-arrival, id) — the deterministic interleave order with
-    /// original arrivals. The value carries the attempt count consumed.
-    pending: BTreeMap<(SimTime, RequestId), (Request, u32)>,
+    /// original arrivals.
+    pending: BTreeMap<(SimTime, RequestId), Request>,
     retries_used: BTreeMap<RequestId, u32>,
     casualty_ids: BTreeSet<RequestId>,
     /// The ledgers the run returns.
@@ -613,11 +606,14 @@ impl<'a, I: Iterator<Item = Request>> FleetLoop<'a, I> {
 
     /// Routes every arrival — source requests (behind the admission
     /// controller, when armed) and pending retries (which bypass it)
-    /// interleaved by (arrival, id) — strictly before `end` (all of them
-    /// when `end` is `None`). The source is pulled lazily: nothing beyond
-    /// the boundary is ever materialised.
-    fn route_before(&mut self, end: Option<SimTime>, mut rec: Option<&mut TraceRecorder>) {
-        let in_window = |t: SimTime| end.is_none_or(|e| t < e);
+    /// interleaved by (arrival, id) — up to `end`. The source is pulled
+    /// lazily: nothing beyond the boundary is ever materialised.
+    fn route_up_to(&mut self, end: Bound<SimTime>, mut rec: Option<&mut TraceRecorder>) {
+        let in_window = |t: SimTime| match end {
+            Bound::Included(e) => t <= e,
+            Bound::Excluded(e) => t < e,
+            Bound::Unbounded => true,
+        };
         loop {
             let original_key = self
                 .source
@@ -640,7 +636,7 @@ impl<'a, I: Iterator<Item = Request>> FleetLoop<'a, I> {
             };
             if take_retry {
                 let key = retry_key.expect("a retry is due");
-                let (retry, _) = self.pending.remove(&key).expect("key just seen");
+                let retry = self.pending.remove(&key).expect("key just seen");
                 self.resident -= 1;
                 self.route(retry, true);
             } else {
@@ -722,13 +718,6 @@ impl<'a, I: Iterator<Item = Request>> FleetLoop<'a, I> {
             .routed_since_observation
             .saturating_add(route_req.queued_tokens());
         (replica, start)
-    }
-
-    /// True when an arrival or a retry still to be routed arrives at
-    /// exactly `at`: everything due earlier is routed already.
-    pub(crate) fn arrival_due_at(&mut self, at: SimTime) -> bool {
-        self.source.peek().is_some_and(|req| req.arrival == at)
-            || self.pending.keys().next().is_some_and(|&(t, _)| t == at)
     }
 
     /// Replica `r`'s live sim, if its slot holds one.
@@ -838,8 +827,7 @@ impl<'a, I: Iterator<Item = Request>> FleetLoop<'a, I> {
                 if let Some(r) = rec.as_deref_mut() {
                     r.retry_scheduled(at, retry.id, attempt, retry.arrival);
                 }
-                self.pending
-                    .insert((retry.arrival, retry.id), (retry, attempt));
+                self.pending.insert((retry.arrival, retry.id), retry);
                 self.grow_resident();
             } else {
                 self.out.reliability.retries_exhausted += 1;

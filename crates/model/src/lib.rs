@@ -12,8 +12,6 @@
 //! * [`roofline`] — the iteration-time model combining a compute roofline
 //!   with tensor-parallel and sequence-parallel communication costs; the
 //!   simulated substitute for real CUDA kernels,
-//! * [`builder`] — [`CostModelBuilder`], the named-parts front door to the
-//!   cost API (model + GPU + link + attention policy + pinned group shape),
 //! * [`analytical`] — the paper's α + β·Σl + γ·Σl² model (Eq. 7) with its
 //!   least-squares fit,
 //! * [`sib`] — the Scaling Information Base: profile store, fitted models
@@ -36,7 +34,6 @@
 
 pub mod analytical;
 pub mod attention;
-pub mod builder;
 pub mod config;
 pub mod roofline;
 pub mod sib;
@@ -45,7 +42,6 @@ pub use analytical::{AnalyticalModel, BatchFeatures};
 pub use attention::{
     AttentionCost, AttentionCostPolicy, Dense, HierarchicalPrefill, PageSparseDecode,
 };
-pub use builder::{BoundCostModel, CostModelBuilder};
 pub use config::ModelConfig;
 pub use roofline::{CostModel, IterationCost, ParallelConfig};
 pub use sib::{ProfileRecord, ScalingInfoBase};
@@ -56,7 +52,6 @@ pub mod prelude {
     pub use crate::attention::{
         AttentionCost, AttentionCostPolicy, Dense, HierarchicalPrefill, PageSparseDecode,
     };
-    pub use crate::builder::{BoundCostModel, CostModelBuilder};
     pub use crate::config::ModelConfig;
     pub use crate::roofline::{CostModel, IterationCost, ParallelConfig};
     pub use crate::sib::{ProfileRecord, ScalingInfoBase};

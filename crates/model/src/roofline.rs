@@ -21,7 +21,6 @@
 //! are the inputs every scheduling policy in the workspace reasons about.
 
 use crate::attention::{AttentionCost, AttentionCostPolicy};
-use crate::builder::CostModelBuilder;
 use crate::config::ModelConfig;
 use loong_cluster::comm::CommModel;
 use loong_cluster::gpu::{GpuSpec, LinkSpec};
@@ -128,26 +127,20 @@ impl CostModel {
         }
     }
 
-    /// Starts a [`CostModelBuilder`] for the given model — the preferred way
-    /// to assemble a cost model with a non-default GPU, link or attention
-    /// policy.
-    pub fn builder(model: ModelConfig) -> CostModelBuilder {
-        CostModelBuilder::new(model)
-    }
-
-    /// Replaces the GPU spec (builder style).
-    pub fn with_gpu(mut self, gpu: GpuSpec) -> Self {
-        self.gpu = gpu;
-        self
-    }
-
-    /// Replaces the intra-instance link (builder style).
-    pub fn with_intra_link(mut self, link: LinkSpec) -> Self {
-        self.intra_instance_link = link;
-        self
-    }
-
-    /// Replaces the attention-cost policy (builder style).
+    /// Replaces the attention-cost policy. Every other knob is a public
+    /// field, set with struct-update syntax over [`CostModel::new`].
+    ///
+    /// ```
+    /// use loong_model::prelude::*;
+    /// use loong_cluster::gpu::GpuSpec;
+    ///
+    /// let cm = CostModel {
+    ///     gpu: GpuSpec::a800_80gb(),
+    ///     ..CostModel::new(ModelConfig::lwm_1m_text())
+    /// }
+    /// .with_attention(AttentionCostPolicy::page_sparse());
+    /// assert_eq!(cm.attention.label(), "page-sparse-decode");
+    /// ```
     pub fn with_attention(mut self, attention: AttentionCostPolicy) -> Self {
         self.attention = attention;
         self

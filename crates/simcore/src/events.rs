@@ -139,11 +139,6 @@ impl<E> EventQueue<E> {
         self.heap.peek().map(|e| e.event.at)
     }
 
-    /// Iterates the pending events in no particular order.
-    pub fn iter(&self) -> impl Iterator<Item = &Event<E>> + '_ {
-        self.heap.iter().map(|e| &e.event)
-    }
-
     /// Removes every pending event, leaving the clock untouched.
     pub fn clear(&mut self) {
         self.heap.clear();

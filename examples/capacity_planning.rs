@@ -15,7 +15,7 @@ use loongserve::prelude::*;
 fn main() {
     let model = ModelConfig::lwm_1m_text();
     let cluster = ClusterSpec::single_node_a800(8);
-    let cost = CostModel::builder(model.clone()).build();
+    let cost = CostModel::new(model.clone());
     let nvlink = cluster.intra_node_link;
 
     println!(

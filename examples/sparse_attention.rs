@@ -33,9 +33,8 @@ fn main() {
         let t: Vec<f64> = policies
             .iter()
             .map(|p| {
-                CostModel::builder(ModelConfig::lwm_1m_text())
-                    .attention(*p)
-                    .build()
+                CostModel::new(ModelConfig::lwm_1m_text())
+                    .with_attention(*p)
                     .decode_cost(&lens, parallel, parallel.sp, link)
                     .total()
             })

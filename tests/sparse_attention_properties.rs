@@ -193,14 +193,12 @@ fn explicit_dense_reproduces_elastic_golden() {
 // ---------------------------------------------------------------------------
 
 fn cost_models() -> (CostModel, Vec<CostModel>) {
-    let dense = CostModel::builder(ModelConfig::lwm_1m_text()).build();
+    let dense = CostModel::new(ModelConfig::lwm_1m_text());
     let sparse = vec![
-        CostModel::builder(ModelConfig::lwm_1m_text())
-            .attention(AttentionCostPolicy::page_sparse())
-            .build(),
-        CostModel::builder(ModelConfig::lwm_1m_text())
-            .attention(AttentionCostPolicy::hierarchical())
-            .build(),
+        CostModel::new(ModelConfig::lwm_1m_text())
+            .with_attention(AttentionCostPolicy::page_sparse()),
+        CostModel::new(ModelConfig::lwm_1m_text())
+            .with_attention(AttentionCostPolicy::hierarchical()),
     ];
     (dense, sparse)
 }
@@ -254,9 +252,7 @@ proptest! {
         batch in 1usize..16,
         sp_idx in 0usize..3,
     ) {
-        let cm = CostModel::builder(ModelConfig::lwm_1m_text())
-            .attention(AttentionCostPolicy::page_sparse())
-            .build();
+        let cm = CostModel::new(ModelConfig::lwm_1m_text()).with_attention(AttentionCostPolicy::page_sparse());
         let parallel = ParallelConfig::new(2, [1, 2, 4][sp_idx]);
         let link = LinkSpec::nvlink_a800();
         let t1 = cm.decode_cost(&vec![c1; batch], parallel, 1, link).total();
