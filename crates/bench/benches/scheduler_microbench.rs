@@ -13,6 +13,7 @@
 //! cargo bench --bench scheduler_microbench -- --smoke   # 1 call per case (CI, report only)
 //! ```
 
+use loong_bench::time_mean;
 use loong_cluster::topology::ClusterSpec;
 use loong_esp::instance::InstanceRegistry;
 use loong_kvcache::unified::UnifiedKvPool;
@@ -25,8 +26,6 @@ use loong_sched::types::{PendingRequest, Scheduler, SchedulerView};
 use loong_simcore::ids::{InstanceId, RequestId};
 use loong_simcore::rng::SimRng;
 use loong_simcore::time::SimTime;
-use std::hint::black_box;
-use std::time::Instant;
 
 struct Fixture {
     registry: InstanceRegistry,
@@ -85,20 +84,6 @@ fn view(f: &Fixture) -> SchedulerView<'_> {
         sib: &f.sib,
         avg_decode_latency_s: 0.0,
     }
-}
-
-/// Runs `routine` once untimed, then `calls` times, and prints the mean
-/// wall time per call.
-fn time_mean<O>(label: &str, calls: u32, mut routine: impl FnMut() -> O) {
-    black_box(routine());
-    let start = Instant::now();
-    for _ in 0..calls {
-        black_box(routine());
-    }
-    println!(
-        "bench {label}: {:?}/call (n={calls})",
-        start.elapsed() / calls
-    );
 }
 
 fn bench_batching_dp(calls: u32) {

@@ -6,7 +6,9 @@
 //! the CSV under `target/figures/` for plotting.
 
 use std::fs;
+use std::hint::black_box;
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 /// Directory where benches drop their CSV outputs.
 pub fn figures_dir() -> PathBuf {
@@ -46,6 +48,21 @@ pub fn normalize(values: &[f64]) -> Vec<f64> {
     values.iter().map(|v| v / max).collect()
 }
 
+/// Runs `routine` once untimed, then `calls` times, prints the mean wall
+/// time per call under `label`, and returns that mean. This is the whole
+/// timing harness of the micro-benchmarks: no statistics beyond the mean.
+pub fn time_mean<O>(label: &str, calls: u32, mut routine: impl FnMut() -> O) -> Duration {
+    assert!(calls > 0, "time_mean needs at least one timed call");
+    black_box(routine());
+    let start = Instant::now();
+    for _ in 0..calls {
+        black_box(routine());
+    }
+    let mean = start.elapsed() / calls;
+    println!("bench {label}: {mean:?}/call (n={calls})");
+    mean
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -56,6 +73,16 @@ mod tests {
         assert_eq!(n, vec![0.25, 0.5, 1.0]);
         assert_eq!(normalize(&[]), Vec::<f64>::new());
         assert_eq!(normalize(&[0.0]), vec![0.0]);
+    }
+
+    #[test]
+    fn harness_runs() {
+        let mut runs = 0u32;
+        time_mean("trivial", 3, || {
+            runs += 1;
+            black_box(5u8)
+        });
+        assert_eq!(runs, 4, "one untimed warm-up call plus three timed calls");
     }
 
     #[test]
