@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The full verification gate for LoongServe-RS. Run from the repo root.
 #
-#   ./ci.sh            # everything: build, tests, bench gates, perfbench, examples, clippy, fmt
+#   ./ci.sh            # everything: build, tests, bench gates, perfbench, examples, rustdoc, clippy, fmt
 #   ./ci.sh quick      # just the tier-1 gate: release build + tests
 #   ./ci.sh perfbench  # just the repository benchmark: build, its tests, one correct run per workload
 #
@@ -132,6 +132,15 @@ done
 
 step "trace-check the trace_export example's Perfetto export"
 cargo run -q --release --locked -p xtask -- trace-check target/trace_export.perfetto.json
+
+# Rustdoc over the workspace's own crates (the vendored stand-ins under
+# vendor/ are not ours to document): a dangling intra-doc link, such as one
+# left behind by a deleted item, fails here.
+step "cargo doc --no-deps --locked with RUSTDOCFLAGS=-D warnings (own crates, not vendor/)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --locked \
+    -p loong-simcore -p loong-cluster -p loong-model -p loong-kvcache -p loong-esp \
+    -p loong-sched -p loong-workload -p loong-metrics -p loong-trace -p loongserve \
+    -p loong-bench -p xtask
 
 step "cargo clippy --all-targets --locked -- -D warnings"
 cargo clippy --all-targets --locked -- -D warnings

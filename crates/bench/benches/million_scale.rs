@@ -52,27 +52,6 @@ const SMOKE_COUNT: usize = 20_000;
 const SMOKE_REPLICAS: usize = 4;
 const SEED: u64 = 2026;
 
-/// Every replica crashes once per `period` seconds, staggered so one
-/// crash lands every `period / replicas` seconds fleet-wide. Each crash
-/// empties the crashing replica, which is what keeps the fleet's resident
-/// requests bounded.
-fn staggered_schedule(replicas: usize, period: f64, horizon: f64) -> FailureSchedule {
-    let mut events = Vec::new();
-    for r in 0..replicas {
-        let offset = period * (r as f64 + 1.0) / replicas as f64;
-        let mut at = offset;
-        while at < horizon {
-            events.push(FailureEvent::new(
-                ReplicaId::from(r),
-                SimTime::from_secs(at),
-                SimTime::from_secs(at + 1.0),
-            ));
-            at += period;
-        }
-    }
-    FailureSchedule::from_events(events)
-}
-
 /// The process's peak resident set (`VmHWM`) in kilobytes, if the host
 /// exposes `/proc/self/status`. Report-only: RSS is never bit-for-bit
 /// reproducible across hosts, unlike the [`FleetFootprint`] ledger.
@@ -100,7 +79,7 @@ fn run_streamed(
     // Arrivals end around count/rate; pad the crash horizon past the drain
     // tail so late crashes keep emptying replicas too.
     let horizon = count as f64 / rate + 200.0;
-    let schedule = staggered_schedule(replicas, crash_period, horizon);
+    let schedule = FailureSchedule::staggered(replicas, crash_period, horizon);
     let rel = ReliabilityConfig::new(schedule)
         .with_retry(RetryPolicy::exponential(3, 0.25))
         .with_sla_window(60.0);

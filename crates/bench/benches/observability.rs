@@ -36,30 +36,15 @@ const REPLICAS: usize = 4;
 const CRASH_PERIOD_S: f64 = 30.0;
 const SEED: u64 = 2026;
 
-/// Every replica crashes once per `period` seconds, staggered — same
-/// shape as the million-scale bench so crashes keep emptying replicas.
-fn staggered_schedule(replicas: usize, period: f64, horizon: f64) -> FailureSchedule {
-    let mut events = Vec::new();
-    for r in 0..replicas {
-        let offset = period * (r as f64 + 1.0) / replicas as f64;
-        let mut at = offset;
-        while at < horizon {
-            events.push(FailureEvent::new(
-                ReplicaId::from(r),
-                SimTime::from_secs(at),
-                SimTime::from_secs(at + 1.0),
-            ));
-            at += period;
-        }
-    }
-    FailureSchedule::from_events(events)
-}
-
 fn reliability(count: usize) -> ReliabilityConfig {
     let horizon = count as f64 / RATE + 200.0;
-    ReliabilityConfig::new(staggered_schedule(REPLICAS, CRASH_PERIOD_S, horizon))
-        .with_retry(RetryPolicy::exponential(3, 0.25))
-        .with_sla_window(60.0)
+    ReliabilityConfig::new(FailureSchedule::staggered(
+        REPLICAS,
+        CRASH_PERIOD_S,
+        horizon,
+    ))
+    .with_retry(RetryPolicy::exponential(3, 0.25))
+    .with_sla_window(60.0)
 }
 
 fn fleet() -> FleetEngine {

@@ -51,18 +51,6 @@ impl CommModel {
         steps as f64 * self.link.latency + volume / self.link.bandwidth
     }
 
-    /// Time for a ring all-gather where each participant contributes
-    /// `bytes_per_rank` bytes.
-    pub fn ring_allgather(&self, bytes_per_rank: f64, n: usize) -> f64 {
-        assert!(n >= 1, "all-gather needs at least one participant");
-        if n == 1 || bytes_per_rank == 0.0 {
-            return 0.0;
-        }
-        let steps = n - 1;
-        let volume = (n as f64 - 1.0) * bytes_per_rank;
-        steps as f64 * self.link.latency + volume / self.link.bandwidth
-    }
-
     /// Time for one step of the sequence-parallel ring: every instance sends
     /// its current key-value segment of `bytes` bytes to its neighbour while
     /// receiving the previous segment. Send and receive overlap, so the step
@@ -72,16 +60,6 @@ impl CommModel {
             return 0.0;
         }
         self.link.latency + bytes / self.link.bandwidth
-    }
-
-    /// Time for a broadcast of `bytes` from one rank to `n - 1` others using
-    /// a ring pipeline.
-    pub fn broadcast(&self, bytes: f64, n: usize) -> f64 {
-        assert!(n >= 1, "broadcast needs at least one participant");
-        if n == 1 || bytes == 0.0 {
-            return 0.0;
-        }
-        (n - 1) as f64 * self.link.latency + bytes / self.link.bandwidth
     }
 
     /// Time for a scatter/gather where a master exchanges `bytes_per_peer`
@@ -143,8 +121,6 @@ mod tests {
     fn single_participant_collectives_are_free() {
         let m = nvlink_model();
         assert_eq!(m.ring_allreduce(1e9, 1), 0.0);
-        assert_eq!(m.ring_allgather(1e9, 1), 0.0);
-        assert_eq!(m.broadcast(1e9, 1), 0.0);
         assert_eq!(m.master_exchange(1e9, 1), 0.0);
     }
 
@@ -198,8 +174,6 @@ mod tests {
                 ((t - alpha_only) / alpha_only).abs() < 1e-6,
                 "n={n}: {t} vs alpha {alpha_only}"
             );
-            let g = m.ring_allgather(1.0, n);
-            assert!(((g - (n - 1) as f64 * lat) / g).abs() < 1e-6);
         }
         // Doubling a latency-bound payload barely moves the cost (but the
         // cost itself never decreases with size).
@@ -246,12 +220,8 @@ mod tests {
         let m = nvlink_model();
         // n = 1: no peers, no cost, regardless of size.
         assert_eq!(m.ring_allreduce(f64::MAX, 1), 0.0);
-        assert_eq!(m.ring_allgather(f64::MAX, 1), 0.0);
-        assert_eq!(m.broadcast(f64::MAX, 1), 0.0);
         assert_eq!(m.master_exchange(f64::MAX, 1), 0.0);
         // zero bytes: nothing to move, even across many peers.
-        assert_eq!(m.ring_allgather(0.0, 8), 0.0);
-        assert_eq!(m.broadcast(0.0, 8), 0.0);
         assert_eq!(m.master_exchange(0.0, 8), 0.0);
         assert_eq!(m.migrate(0.0), 0.0);
         // n = 2 is the smallest paying configuration.

@@ -62,34 +62,6 @@ impl GpuSpec {
         }
     }
 
-    /// An NVIDIA A100 40GB configuration, useful for memory-pressure
-    /// experiments beyond the paper.
-    pub fn a100_40gb() -> Self {
-        GpuSpec {
-            name: "NVIDIA A100 40GB SXM".to_string(),
-            peak_flops: 312e12,
-            hbm_bandwidth: 1555.0 * GB,
-            memory_bytes: 40.0 * GIB,
-            compute_efficiency: 0.55,
-            bandwidth_efficiency: 0.80,
-            per_layer_overhead_s: 18e-6,
-        }
-    }
-
-    /// An NVIDIA H800 80GB configuration (Hopper export variant), used to
-    /// check that conclusions are not specific to Ampere-class hardware.
-    pub fn h800_80gb() -> Self {
-        GpuSpec {
-            name: "NVIDIA H800 80GB SXM".to_string(),
-            peak_flops: 989e12,
-            hbm_bandwidth: 3350.0 * GB,
-            memory_bytes: 80.0 * GIB,
-            compute_efficiency: 0.50,
-            bandwidth_efficiency: 0.80,
-            per_layer_overhead_s: 14e-6,
-        }
-    }
-
     /// Effective sustained FLOP/s for compute-bound kernels.
     pub fn effective_flops(&self) -> f64 {
         self.peak_flops * self.compute_efficiency
@@ -217,13 +189,9 @@ mod tests {
 
     #[test]
     fn all_presets_are_valid() {
-        for gpu in [
-            GpuSpec::a800_80gb(),
-            GpuSpec::a100_40gb(),
-            GpuSpec::h800_80gb(),
-        ] {
-            assert!(gpu.validate().is_ok(), "{} failed validation", gpu.name);
-        }
+        // The A800 is the only shipped preset.
+        let gpu = GpuSpec::a800_80gb();
+        assert!(gpu.validate().is_ok(), "{} failed validation", gpu.name);
     }
 
     #[test]

@@ -91,11 +91,6 @@ impl MemoryBudget {
             .max(0.0) as u64
     }
 
-    /// Bytes consumed by `tokens` key-value slots.
-    pub fn kv_bytes_for(&self, tokens: u64) -> f64 {
-        tokens as f64 * self.kv_bytes_per_token
-    }
-
     /// Fraction of the KV pool used when `tokens` slots are occupied.
     pub fn utilization(&self, tokens: u64) -> f64 {
         let cap = self.kv_slot_capacity();
@@ -203,12 +198,6 @@ mod tests {
         assert_eq!(b.utilization(0), 0.0);
         assert!((b.utilization(cap) - 1.0).abs() < 1e-9);
         assert!(b.utilization(cap / 2) < 0.51);
-    }
-
-    #[test]
-    fn kv_bytes_scale_linearly() {
-        let b = example_budget();
-        assert_eq!(b.kv_bytes_for(2), 2.0 * b.kv_bytes_per_token);
     }
 
     #[test]

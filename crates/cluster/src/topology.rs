@@ -104,22 +104,6 @@ impl ClusterSpec {
         spec
     }
 
-    /// Replaces the host-tier parameters (per-node DRAM and the device↔host
-    /// link), validating the result.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the resulting spec fails validation (non-positive host
-    /// memory).
-    pub fn with_host(mut self, host_memory_bytes: f64, host_link: LinkSpec) -> Self {
-        self.host_memory_bytes = host_memory_bytes;
-        self.host_link = host_link;
-        if let Err(err) = self.validate() {
-            panic!("invalid host tier: {err}");
-        }
-        self
-    }
-
     /// Total number of GPUs in the cluster.
     pub fn total_gpus(&self) -> usize {
         self.nodes * self.gpus_per_node
@@ -185,17 +169,6 @@ impl ClusterSpec {
         worst
     }
 
-    /// Returns true if all GPUs in the set are on the same node.
-    pub fn is_single_node(&self, gpus: &[GpuId]) -> bool {
-        match gpus.first() {
-            None => true,
-            Some(&first) => {
-                let node = self.node_of(first);
-                gpus.iter().all(|&g| self.node_of(g) == node)
-            }
-        }
-    }
-
     /// Validates the topology parameters.
     pub fn validate(&self) -> Result<(), String> {
         if self.nodes == 0 {
@@ -227,7 +200,6 @@ mod tests {
         for g in c.all_gpus() {
             assert_eq!(c.node_of(g), NodeId(0));
         }
-        assert!(c.is_single_node(&c.all_gpus()));
     }
 
     #[test]
@@ -237,7 +209,6 @@ mod tests {
         assert_eq!(c.node_of(GpuId(7)), NodeId(0));
         assert_eq!(c.node_of(GpuId(8)), NodeId(1));
         assert_eq!(c.gpus_on_node(NodeId(1)).len(), 8);
-        assert!(!c.is_single_node(&[GpuId(7), GpuId(8)]));
     }
 
     #[test]
@@ -269,7 +240,6 @@ mod tests {
     #[test]
     fn empty_set_is_single_node() {
         let c = ClusterSpec::single_node_a800(8);
-        assert!(c.is_single_node(&[]));
         let b = c.bottleneck_link(&[]);
         assert_eq!(b.bandwidth, c.intra_node_link.bandwidth);
     }
@@ -286,18 +256,15 @@ mod tests {
         let c = ClusterSpec::single_node_a800(8);
         assert_eq!(c.host_memory_bytes, ClusterSpec::DEFAULT_HOST_MEMORY_BYTES);
         assert_eq!(c.host_link, LinkSpec::pcie_gen4_x16());
-        let big = c.clone().with_host(
-            2.0 * ClusterSpec::DEFAULT_HOST_MEMORY_BYTES,
-            LinkSpec::new(50e9, 5e-6),
-        );
+        let mut big = c.clone();
+        big.host_memory_bytes = 2.0 * ClusterSpec::DEFAULT_HOST_MEMORY_BYTES;
+        big.host_link = LinkSpec::new(50e9, 5e-6);
         assert!(big.validate().is_ok());
         assert_eq!(big.host_link.bandwidth, 50e9);
-    }
-
-    #[test]
-    #[should_panic(expected = "host_memory_bytes")]
-    fn with_host_rejects_non_positive_memory() {
-        let _ = ClusterSpec::single_node_a800(8).with_host(0.0, LinkSpec::pcie_gen4_x16());
+        let mut none = c;
+        none.host_memory_bytes = 0.0;
+        let err = none.validate().expect_err("no host memory must fail");
+        assert!(err.contains("host_memory_bytes"), "unexpected error: {err}");
     }
 
     #[test]
@@ -375,12 +342,6 @@ mod tests {
             c.gpus_on_node(NodeId(2)),
             vec![GpuId(8), GpuId(9), GpuId(10), GpuId(11)]
         );
-        // Per-node GPU sets are single-node; any cross-node set is not.
-        for node in 0..3 {
-            assert!(c.is_single_node(&c.gpus_on_node(NodeId(node as u64))));
-        }
-        assert!(!c.is_single_node(&[GpuId(3), GpuId(4)]));
-        assert!(!c.is_single_node(&[GpuId(0), GpuId(5), GpuId(9)]));
         // Bottleneck: intra-node within a node, inter-node as soon as the
         // set spans a boundary.
         let b_intra = c.bottleneck_link(&c.gpus_on_node(NodeId(1)));
@@ -394,7 +355,6 @@ mod tests {
         let c = ClusterSpec::two_node_a800();
         let b = c.bottleneck_link(&[GpuId(9)]);
         assert_eq!(b.bandwidth, c.intra_node_link.bandwidth);
-        assert!(c.is_single_node(&[GpuId(9)]));
     }
 
     #[test]

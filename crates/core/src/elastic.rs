@@ -413,7 +413,7 @@ impl<I: Iterator<Item = Request>> FleetLoop<'_, I> {
     /// The frontend's admission decision for one original arrival: `true`
     /// admits it (always, when no controller is armed); `false` sheds it,
     /// recording it in the ledger and the class counters.
-    pub(crate) fn admit(&mut self, req: &Request, rec: Option<&mut TraceRecorder>) -> bool {
+    pub(crate) fn admit(&mut self, req: &Request) -> bool {
         if self.admission.is_none() {
             return true;
         }
@@ -425,7 +425,7 @@ impl<I: Iterator<Item = Request>> FleetLoop<'_, I> {
         let AdmissionDecision::Shed(reason) = adm.admit(req.class, backlog, ready) else {
             return true;
         };
-        if let Some(r) = rec {
+        if let Some(r) = self.rec.as_deref_mut() {
             r.shed(req.arrival, req.id, req.class, &format!("{reason:?}"));
         }
         match req.class {
@@ -447,12 +447,7 @@ impl<I: Iterator<Item = Request>> FleetLoop<'_, I> {
 
     /// One control instant: observe the closed window, let the autoscaler
     /// decide, apply the decision.
-    pub(crate) fn control_boundary(
-        &mut self,
-        b: SimTime,
-        cfg: &ElasticConfig,
-        rec: Option<&mut TraceRecorder>,
-    ) {
+    pub(crate) fn control_boundary(&mut self, b: SimTime, cfg: &ElasticConfig) {
         let (signals, backlogs) = self.observe(b, cfg);
         self.last_observed_backlog = signals.backlog_tokens;
         self.routed_since_observation = 0;
@@ -462,8 +457,8 @@ impl<I: Iterator<Item = Request>> FleetLoop<'_, I> {
             .expect("elastic runs have an autoscaler");
         match autoscaler.decide(b.as_secs(), &signals) {
             ScaleDecision::Hold => {}
-            ScaleDecision::Up(count) => self.scale_up(b, count, cfg, rec),
-            ScaleDecision::Down(count) => self.scale_down(b, count, &backlogs, rec),
+            ScaleDecision::Up(count) => self.scale_up(b, count, cfg),
+            ScaleDecision::Down(count) => self.scale_down(b, count, &backlogs),
         }
         let active = self.active_count() as u64;
         self.out.elasticity.min_active_replicas =
@@ -502,13 +497,7 @@ impl<I: Iterator<Item = Request>> FleetLoop<'_, I> {
     /// Each becomes routable after the provisioning delay, with an empty
     /// KV pool and a cold prefix cache (its slot restarted empty at its
     /// last crash or drain, so this falls out of the execution model).
-    fn scale_up(
-        &mut self,
-        b: SimTime,
-        want: usize,
-        cfg: &ElasticConfig,
-        mut rec: Option<&mut TraceRecorder>,
-    ) {
+    fn scale_up(&mut self, b: SimTime, want: usize, cfg: &ElasticConfig) {
         let ready_at = b + SimDuration::from_secs(cfg.autoscaler.provisioning_delay_s);
         let mut activated = 0usize;
         for r in 0..self.n {
@@ -519,7 +508,7 @@ impl<I: Iterator<Item = Request>> FleetLoop<'_, I> {
                 self.life[r] = Life::Active { since: ready_at };
                 self.out.elasticity.provisioning_s += cfg.autoscaler.provisioning_delay_s;
                 activated += 1;
-                if let Some(recorder) = rec.as_deref_mut() {
+                if let Some(recorder) = self.rec.as_deref_mut() {
                     recorder.replica_activated(b, ReplicaId::from(r), ready_at);
                 }
                 let active_after = self.active_count();
@@ -546,13 +535,7 @@ impl<I: Iterator<Item = Request>> FleetLoop<'_, I> {
     /// scheduled crash strikes it first, in which case the drain stops at
     /// the crash, the victim retires there, and the remainder becomes
     /// crash casualties.
-    fn scale_down(
-        &mut self,
-        b: SimTime,
-        want: usize,
-        backlogs: &[u64],
-        mut rec: Option<&mut TraceRecorder>,
-    ) {
+    fn scale_down(&mut self, b: SimTime, want: usize, backlogs: &[u64]) {
         let mut ready: Vec<(u64, usize)> = self
             .ready(b)
             .into_iter()
@@ -573,12 +556,12 @@ impl<I: Iterator<Item = Request>> FleetLoop<'_, I> {
             // pins must not resurrect on the retired replica).
             self.router.on_replica_removed(replica);
             let drain_end = if self.live_sim(r).is_some() {
-                self.drain(r, b, rec.as_deref_mut())
+                self.drain(r, b)
             } else {
                 b
             };
             let drain_s = drain_end.saturating_since(b).as_secs();
-            if let Some(recorder) = rec.as_deref_mut() {
+            if let Some(recorder) = self.rec.as_deref_mut() {
                 recorder.replica_retired(drain_end, replica);
             }
             self.life[r] = Life::Retired { at: drain_end };
@@ -600,7 +583,7 @@ impl<I: Iterator<Item = Request>> FleetLoop<'_, I> {
     /// Runs drain victim `r` to completion, or up to its next scheduled
     /// crash after `b` if that comes first; returns the retirement
     /// instant.
-    fn drain(&mut self, r: usize, b: SimTime, mut rec: Option<&mut TraceRecorder>) -> SimTime {
+    fn drain(&mut self, r: usize, b: SimTime) -> SimTime {
         let replica = ReplicaId::from(r);
         let crash = self
             .policies
@@ -626,10 +609,10 @@ impl<I: Iterator<Item = Request>> FleetLoop<'_, I> {
             .pop()
             .expect("the victim is live")
             .1;
-        let finish = self.end_segment(r, rec.as_deref_mut());
+        let finish = self.end_segment(r);
         match interrupted {
             Some((c, casualties)) => {
-                self.settle_casualties(casualties, replica, c, rec);
+                self.settle_casualties(casualties, replica, c);
                 c
             }
             None => finish.max(b),

@@ -4,7 +4,8 @@
 //! own — the request lifecycle, the elastic instances, the unified KV pool,
 //! and the clock — and delegates *policy* to a [`Scheduler`]. At every
 //! scheduling point (a request arrival while resources are idle, or an
-//! iteration/migration completing) it builds a [`SchedulerView`], executes
+//! iteration/migration completing) it builds a
+//! [`SchedulerView`](loong_sched::types::SchedulerView), executes
 //! the returned [`Action`]s through the ESP mechanisms, and advances the
 //! clock by the cost model's predicted iteration latencies.
 //!
@@ -44,6 +45,12 @@ use loong_workload::trace::Trace;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::DerefMut;
 
+/// Fraction of GPU memory reserved for activations and buffers.
+const WORKSPACE_FRACTION: f64 = 0.10;
+
+/// Measurement noise injected when profiling the SIB.
+const SIB_NOISE: f64 = 0.01;
+
 /// Static configuration of a serving-engine run.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -53,10 +60,6 @@ pub struct EngineConfig {
     pub tp: usize,
     /// The model being served.
     pub model: ModelConfig,
-    /// Fraction of GPU memory reserved for activations and buffers.
-    pub workspace_fraction: f64,
-    /// Measurement noise injected when profiling the SIB.
-    pub sib_noise: f64,
     /// Seed for all engine-internal randomness.
     pub seed: u64,
     /// Hard cap on simulated time; requests still in flight when it is
@@ -127,8 +130,6 @@ impl EngineConfig {
             cluster: ClusterSpec::single_node_a800(8),
             tp: 2,
             model: ModelConfig::lwm_1m_text(),
-            workspace_fraction: 0.10,
-            sib_noise: 0.01,
             seed: 0x1005e,
             max_sim_time: None,
             host_swap: None,
@@ -143,7 +144,7 @@ impl EngineConfig {
         let budget = MemoryBudget::new(
             &self.cluster.gpu,
             self.model.weight_bytes_per_gpu(self.tp),
-            self.workspace_fraction,
+            WORKSPACE_FRACTION,
             self.model.kv_bytes_per_token_per_gpu(self.tp),
         );
         budget.kv_slot_capacity()
@@ -470,7 +471,7 @@ impl<S: Scheduler + ?Sized> ServingEngine<S> {
             &cost_model,
             &configs,
             config.cluster.intra_node_link,
-            config.sib_noise,
+            SIB_NOISE,
             &mut rng,
         );
         ServingEngine {
@@ -485,11 +486,6 @@ impl<S: Scheduler + ?Sized> ServingEngine<S> {
     /// The instance registry used by this engine.
     pub fn registry(&self) -> &InstanceRegistry {
         &self.registry
-    }
-
-    /// The scheduler's report label.
-    pub fn scheduler_name(&self) -> String {
-        self.scheduler.name()
     }
 
     /// Runs the engine over a trace and returns the outcome.
@@ -1827,7 +1823,7 @@ mod tests {
         let tp = kind.tp(config.cluster.gpus_per_node);
         let config = EngineConfig { tp, ..config };
         let registry = InstanceRegistry::build(&config.cluster, tp);
-        let scheduler = kind.build_scheduler(&registry.all_ids(), None);
+        let scheduler = kind.build_scheduler(&registry.all_ids(), None, None);
         ServingEngine::new(config, scheduler)
     }
 
@@ -1870,7 +1866,7 @@ mod tests {
     #[test]
     fn scheduler_name_is_exposed() {
         let engine = engine_for(SystemKind::Vllm);
-        assert!(engine.scheduler_name().contains("vLLM"));
+        assert!(engine.scheduler.name().contains("vLLM"));
         assert_eq!(engine.registry().num_instances(), 1);
     }
 

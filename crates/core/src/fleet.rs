@@ -66,7 +66,7 @@ use loong_sched::types::Scheduler;
 use loong_simcore::ids::{ReplicaId, RequestId};
 use loong_simcore::pool::run_each_mut;
 use loong_simcore::time::SimTime;
-use loong_trace::{NoopSink, TraceConfig, TraceRecorder, TraceSink};
+use loong_trace::{NoopSink, TraceRecorder, TraceSink};
 use loong_workload::failure::FailureSchedule;
 use loong_workload::request::Request;
 use loong_workload::stream::TraceStream;
@@ -256,7 +256,6 @@ impl FleetOutcome {
 /// A fleet of serving replicas behind a cluster router.
 pub struct FleetEngine {
     pub(crate) config: FleetConfig,
-    pub(crate) router: Box<dyn Router>,
 }
 
 impl FleetEngine {
@@ -268,18 +267,12 @@ impl FleetEngine {
     pub fn new(config: FleetConfig) -> Self {
         assert!(config.replicas > 0, "a fleet needs at least one replica");
         config.cluster.validate().expect("valid replica cluster");
-        let router = config.policy.build();
-        FleetEngine { config, router }
+        FleetEngine { config }
     }
 
     /// The fleet's configuration.
     pub fn config(&self) -> &FleetConfig {
         &self.config
-    }
-
-    /// The router's report label.
-    pub fn router_name(&self) -> String {
-        self.router.name()
     }
 
     /// Routes every request of `trace` in arrival order, returning the
@@ -296,14 +289,7 @@ impl FleetEngine {
     pub fn route(&mut self, trace: &Trace) -> Vec<usize> {
         let none = FailureSchedule::none();
         let policies = FleetPolicies::plain(&none);
-        self.router = self.config.policy.build();
-        let mut run = FleetLoop::new(
-            &self.config,
-            &mut *self.router,
-            &policies,
-            None,
-            [].into_iter(),
-        );
+        let mut run = FleetLoop::new(&self.config, &policies, None, [].into_iter());
         trace
             .requests
             .iter()
@@ -355,10 +341,10 @@ impl FleetEngine {
     ///
     /// Panics if the failure schedule strikes a replica outside the fleet.
     pub(crate) fn run_fleet(
-        &mut self,
+        &self,
         source: impl Iterator<Item = Request>,
         policies: &FleetPolicies<'_>,
-        mut recorder: Option<&mut TraceRecorder>,
+        recorder: Option<&mut TraceRecorder>,
     ) -> (FleetOutcome, FleetRun) {
         let n = self.config.replicas;
         if let Some(max) = policies.schedule.max_replica() {
@@ -367,15 +353,7 @@ impl FleetEngine {
                 "failure schedule strikes {max}, but the fleet has {n} replicas"
             );
         }
-        // Fresh router per run, exactly as `route()` does.
-        self.router = self.config.policy.build();
-        let mut run = FleetLoop::new(
-            &self.config,
-            &mut *self.router,
-            policies,
-            recorder.as_ref().map(|r| r.config()),
-            source,
-        );
+        let mut run = FleetLoop::new(&self.config, policies, recorder, source);
 
         let crash_times = policies.schedule.crash_times();
         let control = policies
@@ -401,23 +379,19 @@ impl FleetEngine {
             // At `b`: crashes resolve first, then the arrivals due at
             // exactly `b` are routed, and only then does the control
             // observation read the post-crash fleet with them in it.
-            run.route_up_to(Bound::Excluded(b), recorder.as_deref_mut());
+            run.route_up_to(Bound::Excluded(b));
             if next_crash == Some(b) {
-                run.crash_boundary(b, recorder.as_deref_mut());
+                run.crash_boundary(b);
                 ci += 1;
             }
-            run.route_up_to(Bound::Included(b), recorder.as_deref_mut());
+            run.route_up_to(Bound::Included(b));
             if let Some(cfg) = control.filter(|_| next_control == Some(b)) {
-                run.control_boundary(b, cfg, recorder.as_deref_mut());
+                run.control_boundary(b, cfg);
                 k += 1;
             }
         }
-        run.route_up_to(Bound::Unbounded, recorder.as_deref_mut());
-        let (fleet, run) = run.finish(recorder.as_deref_mut());
-        if let Some(rec) = recorder {
-            rec.finalize(fleet.sim_time);
-        }
-        (fleet, run)
+        run.route_up_to(Bound::Unbounded);
+        run.finish()
     }
 }
 
@@ -503,8 +477,12 @@ pub(crate) struct FleetLoop<'a, I: Iterator<Item = Request>> {
     pub(crate) policies: &'a FleetPolicies<'a>,
     system: SystemUnderTest,
     parallel: bool,
-    trace_config: Option<TraceConfig>,
-    pub(crate) router: &'a mut dyn Router,
+    /// The run's recorder, if traced; each live replica records into a
+    /// child of the same config, absorbed when its segment ends.
+    pub(crate) rec: Option<&'a mut TraceRecorder>,
+    /// A fresh router per run, so routing is a pure function of the
+    /// configuration and the arrivals.
+    pub(crate) router: Box<dyn Router>,
     source: Peekable<I>,
     pub(crate) life: Vec<Life>,
     tracker: FleetLoadTracker,
@@ -539,9 +517,8 @@ pub(crate) struct FleetLoop<'a, I: Iterator<Item = Request>> {
 impl<'a, I: Iterator<Item = Request>> FleetLoop<'a, I> {
     fn new(
         config: &FleetConfig,
-        router: &'a mut dyn Router,
         policies: &'a FleetPolicies<'a>,
-        trace_config: Option<TraceConfig>,
+        rec: Option<&'a mut TraceRecorder>,
         source: I,
     ) -> Self {
         let n = config.replicas;
@@ -551,8 +528,8 @@ impl<'a, I: Iterator<Item = Request>> FleetLoop<'a, I> {
             policies,
             system: config.replica_system(),
             parallel: config.parallel,
-            trace_config,
-            router,
+            rec,
+            router: config.policy.build(),
             source: source.peekable(),
             life: (0..n)
                 .map(|r| {
@@ -608,7 +585,7 @@ impl<'a, I: Iterator<Item = Request>> FleetLoop<'a, I> {
     /// controller, when armed) and pending retries (which bypass it)
     /// interleaved by (arrival, id) — up to `end`. The source is pulled
     /// lazily: nothing beyond the boundary is ever materialised.
-    fn route_up_to(&mut self, end: Bound<SimTime>, mut rec: Option<&mut TraceRecorder>) {
+    fn route_up_to(&mut self, end: Bound<SimTime>) {
         let in_window = |t: SimTime| match end {
             Bound::Included(e) => t <= e,
             Bound::Excluded(e) => t < e,
@@ -642,7 +619,7 @@ impl<'a, I: Iterator<Item = Request>> FleetLoop<'a, I> {
             } else {
                 let req = self.source.next().expect("peeked above");
                 self.out.footprint.streamed_requests += 1;
-                if self.admit(&req, rec.as_deref_mut()) {
+                if self.admit(&req) {
                     self.route(req, false);
                 }
             }
@@ -658,7 +635,8 @@ impl<'a, I: Iterator<Item = Request>> FleetLoop<'a, I> {
         self.assignments.push((placed.id, replica));
         self.out.route_instants.push(start);
         self.assigned[replica.index()] += 1;
-        let (system, trace_config) = (&self.system, self.trace_config);
+        let trace_config = self.rec.as_deref().map(TraceRecorder::config);
+        let system = &self.system;
         let (sim, child) = self.slots[replica.index()].live.get_or_insert_with(|| {
             (
                 ReplicaSim::new(Box::new(system.build_replica_engine())),
@@ -751,10 +729,10 @@ impl<'a, I: Iterator<Item = Request>> FleetLoop<'a, I> {
     /// Ends replica `r`'s current segment: its recording is absorbed, its
     /// outcome merges into the replica's, and the slot restarts empty.
     /// Returns the segment's `sim_time`.
-    pub(crate) fn end_segment(&mut self, r: usize, rec: Option<&mut TraceRecorder>) -> SimTime {
+    pub(crate) fn end_segment(&mut self, r: usize) -> SimTime {
         let (sim, child) = self.slots[r].live.take().expect("segment is live");
         self.resident -= sim.injected();
-        if let (Some(rec), Some(child)) = (rec, child) {
+        if let (Some(rec), Some(child)) = (self.rec.as_deref_mut(), child) {
             rec.merge_child(ReplicaId::from(r), child);
         }
         let outcome = sim.finish();
@@ -769,9 +747,9 @@ impl<'a, I: Iterator<Item = Request>> FleetLoop<'a, I> {
     /// Resolves every crash striking at `b`: each crashing replica advances
     /// through `b`, and whatever it had not completed or rejected by then
     /// becomes a casualty.
-    fn crash_boundary(&mut self, b: SimTime, mut rec: Option<&mut TraceRecorder>) {
+    fn crash_boundary(&mut self, b: SimTime) {
         let events = self.policies.schedule.events();
-        if let Some(r) = rec.as_deref_mut() {
+        if let Some(r) = self.rec.as_deref_mut() {
             for event in events.iter().filter(|e| e.crash == b) {
                 r.crash(b, event.replica);
                 r.recover(event.recover, event.replica);
@@ -785,8 +763,8 @@ impl<'a, I: Iterator<Item = Request>> FleetLoop<'a, I> {
             .map(|e| e.replica.index())
             .collect();
         for (r, casualties) in self.advance_each(&crashing, |sim, sink| sim.crash(b, sink)) {
-            self.end_segment(r, rec.as_deref_mut());
-            self.settle_casualties(casualties, ReplicaId::from(r), b, rec.as_deref_mut());
+            self.end_segment(r);
+            self.settle_casualties(casualties, ReplicaId::from(r), b);
         }
     }
 
@@ -800,18 +778,17 @@ impl<'a, I: Iterator<Item = Request>> FleetLoop<'a, I> {
         casualties: Vec<Request>,
         replica: ReplicaId,
         at: SimTime,
-        mut rec: Option<&mut TraceRecorder>,
     ) {
         let retry_policy = self.policies.retry;
         for req in casualties {
             self.out.reliability.failed_attempts += 1;
             self.casualty_ids.insert(req.id);
-            if let Some(r) = rec.as_deref_mut() {
+            if let Some(r) = self.rec.as_deref_mut() {
                 r.casualty(at, req.id);
             }
             if let Some(bk) = self.breaker.as_mut() {
                 if bk.record_failure(replica, at) {
-                    if let Some(r) = rec.as_deref_mut() {
+                    if let Some(r) = self.rec.as_deref_mut() {
                         r.breaker_open(at, replica);
                     }
                 }
@@ -824,7 +801,7 @@ impl<'a, I: Iterator<Item = Request>> FleetLoop<'a, I> {
                 retry.arrival = at + retry_policy.backoff(attempt);
                 self.out.reliability.retries_scheduled += 1;
                 self.out.reliability.re_prefilled_tokens += retry.input_len;
-                if let Some(r) = rec.as_deref_mut() {
+                if let Some(r) = self.rec.as_deref_mut() {
                     r.retry_scheduled(at, retry.id, attempt, retry.arrival);
                 }
                 self.pending.insert((retry.arrival, retry.id), retry);
@@ -835,7 +812,7 @@ impl<'a, I: Iterator<Item = Request>> FleetLoop<'a, I> {
                     "{replica} crashed at {at} with no retry budget left ({used} of {} used)",
                     retry_policy.max_retries
                 );
-                if let Some(r) = rec.as_deref_mut() {
+                if let Some(r) = self.rec.as_deref_mut() {
                     r.request_failed(at, req.id, &reason);
                 }
                 self.out.failed.push(FailedRequest {
@@ -850,13 +827,13 @@ impl<'a, I: Iterator<Item = Request>> FleetLoop<'a, I> {
 
     /// Runs every live replica to completion and merges the fleet: records
     /// and rejections in request-id order, counters summed in replica-id
-    /// order.
-    fn finish(mut self, mut rec: Option<&mut TraceRecorder>) -> (FleetOutcome, FleetRun) {
+    /// order. The recorder, if any, is finalized at the makespan.
+    fn finish(mut self) -> (FleetOutcome, FleetRun) {
         let all: Vec<usize> = (0..self.n).collect();
         self.advance_each(&all, |sim, sink| sim.run_to_end(sink));
         for r in 0..self.n {
             if self.slots[r].live.is_some() {
-                self.end_segment(r, rec.as_deref_mut());
+                self.end_segment(r);
             }
         }
         let mut total = RunOutcome::default();
@@ -918,6 +895,9 @@ impl<'a, I: Iterator<Item = Request>> FleetLoop<'a, I> {
             pressure,
             cache,
         };
+        if let Some(rec) = self.rec {
+            rec.finalize(fleet.sim_time);
+        }
         (fleet, self.out)
     }
 }

@@ -100,21 +100,42 @@ impl SystemKind {
 
     /// Builds the scheduler for this system. `trace` supplies workload
     /// statistics for policies that tune themselves per dataset (the
-    /// SplitFuse chunk size, per §7.1).
+    /// SplitFuse chunk size, per §7.1). `pressure` enables memory-pressure
+    /// handling; `None` keeps the conservative full-output reservation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pressure` is set for a system that has no pressure-aware
+    /// scheduler (the chunked-prefill, disaggregation and static-hybrid
+    /// baselines).
     pub fn build_scheduler(
         &self,
         instances: &[InstanceId],
         trace: Option<&Trace>,
+        pressure: Option<PressureConfig>,
     ) -> Box<dyn Scheduler + Send> {
         match self {
-            SystemKind::LoongServe => Box::new(LoongServeScheduler::new()),
-            SystemKind::LoongServeNoScaleUp => {
-                Box::new(LoongServeScheduler::with_config(LoongServeConfig {
-                    enable_scale_up: false,
-                    enable_proactive_scale_down: true,
-                }))
+            SystemKind::LoongServe | SystemKind::LoongServeNoScaleUp => {
+                let scheduler = LoongServeScheduler::with_config(LoongServeConfig {
+                    enable_scale_up: *self == SystemKind::LoongServe,
+                });
+                match pressure {
+                    Some(p) => Box::new(scheduler.with_pressure(p)),
+                    None => Box::new(scheduler),
+                }
             }
-            SystemKind::Vllm => Box::new(IndependentInstancesScheduler::vllm()),
+            SystemKind::Vllm | SystemKind::Replicated => {
+                let scheduler = if *self == SystemKind::Vllm {
+                    IndependentInstancesScheduler::vllm()
+                } else {
+                    IndependentInstancesScheduler::replicated()
+                };
+                match pressure {
+                    Some(p) => Box::new(scheduler.with_pressure(p)),
+                    None => Box::new(scheduler),
+                }
+            }
+            other if pressure.is_some() => panic!("{other:?} has no pressure-aware scheduler"),
             SystemKind::DeepSpeedMii => Box::new(SplitFuseScheduler::deepspeed_mii()),
             SystemKind::LightLlmSplitFuse => {
                 let (mean_in, mean_out) = trace
@@ -127,39 +148,6 @@ impl SystemKind {
             }
             SystemKind::DistServe => Box::new(DistServeScheduler::from_instances(instances)),
             SystemKind::StaticHybrid => Box::new(StaticHybridScheduler::new()),
-            SystemKind::Replicated => Box::new(IndependentInstancesScheduler::replicated()),
-        }
-    }
-
-    /// Builds the scheduler with memory-pressure handling enabled.
-    ///
-    /// # Panics
-    ///
-    /// Panics for systems that have no pressure-aware scheduler (the
-    /// chunked-prefill and disaggregation baselines).
-    pub fn build_pressure_scheduler(
-        &self,
-        instances: &[InstanceId],
-        trace: Option<&Trace>,
-        pressure: PressureConfig,
-    ) -> Box<dyn Scheduler + Send> {
-        let _ = (instances, trace);
-        match self {
-            SystemKind::LoongServe => Box::new(LoongServeScheduler::new().with_pressure(pressure)),
-            SystemKind::LoongServeNoScaleUp => Box::new(
-                LoongServeScheduler::with_config(LoongServeConfig {
-                    enable_scale_up: false,
-                    enable_proactive_scale_down: true,
-                })
-                .with_pressure(pressure),
-            ),
-            SystemKind::Vllm => {
-                Box::new(IndependentInstancesScheduler::vllm().with_pressure(pressure))
-            }
-            SystemKind::Replicated => {
-                Box::new(IndependentInstancesScheduler::replicated().with_pressure(pressure))
-            }
-            other => panic!("{other:?} has no pressure-aware scheduler"),
         }
     }
 }
@@ -305,8 +293,6 @@ impl SystemUnderTest {
             cluster: self.cluster.clone(),
             tp,
             model: self.model.clone(),
-            workspace_fraction: 0.10,
-            sib_noise: 0.01,
             seed: self.seed,
             max_sim_time: self.max_sim_time,
             host_swap,
@@ -316,12 +302,9 @@ impl SystemUnderTest {
         };
         // The scheduler needs the instance list, which depends on tp.
         let registry = loong_esp::instance::InstanceRegistry::build(&self.cluster, tp);
-        let scheduler = match self.pressure.config() {
-            None => self.kind.build_scheduler(&registry.all_ids(), trace),
-            Some(cfg) => self
-                .kind
-                .build_pressure_scheduler(&registry.all_ids(), trace, cfg),
-        };
+        let scheduler =
+            self.kind
+                .build_scheduler(&registry.all_ids(), trace, self.pressure.config());
         (config, scheduler)
     }
 
@@ -367,5 +350,63 @@ impl SystemUnderTest {
         .with_cache(outcome.cache)
         .with_attribution(recorder.attribution());
         (summary, outcome)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use loong_esp::instance::InstanceRegistry;
+
+    const ALL: [SystemKind; 8] = [
+        SystemKind::LoongServe,
+        SystemKind::LoongServeNoScaleUp,
+        SystemKind::Vllm,
+        SystemKind::DeepSpeedMii,
+        SystemKind::LightLlmSplitFuse,
+        SystemKind::DistServe,
+        SystemKind::StaticHybrid,
+        SystemKind::Replicated,
+    ];
+
+    const PRESSURE_AWARE: [SystemKind; 4] = [
+        SystemKind::LoongServe,
+        SystemKind::LoongServeNoScaleUp,
+        SystemKind::Vllm,
+        SystemKind::Replicated,
+    ];
+
+    fn instances(kind: SystemKind) -> Vec<InstanceId> {
+        let cluster = ClusterSpec::single_node_a800(8);
+        InstanceRegistry::build(&cluster, kind.tp(cluster.gpus_per_node)).all_ids()
+    }
+
+    #[test]
+    fn every_system_builds_without_pressure() {
+        for kind in ALL {
+            let _ = kind.build_scheduler(&instances(kind), None, None);
+        }
+    }
+
+    #[test]
+    fn exactly_the_pressure_aware_systems_build_with_pressure() {
+        for kind in ALL {
+            let built = std::panic::catch_unwind(|| {
+                kind.build_scheduler(&instances(kind), None, Some(PressureConfig::swap_to_host()))
+            });
+            match built {
+                Ok(_) => assert!(PRESSURE_AWARE.contains(&kind), "{kind:?} built"),
+                Err(panic) => {
+                    assert!(!PRESSURE_AWARE.contains(&kind), "{kind:?} panicked");
+                    let message = panic
+                        .downcast_ref::<String>()
+                        .expect("a formatted panic message");
+                    assert!(
+                        message.contains("has no pressure-aware scheduler"),
+                        "{kind:?}: {message}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -121,27 +121,12 @@ impl InstanceRegistry {
     /// The bottleneck link among a set of instances: NVLink when they share
     /// a node, the inter-node fabric otherwise.
     pub fn link_between(&self, instances: &[InstanceId]) -> LinkSpec {
-        let mut nodes: Vec<NodeId> = instances.iter().map(|&i| self.get(i).node).collect();
-        nodes.dedup();
-        let single_node = instances
-            .iter()
-            .map(|&i| self.get(i).node)
-            .all(|n| Some(n) == instances.first().map(|&i| self.get(i).node));
-        if single_node {
+        let mut nodes = instances.iter().map(|&i| self.get(i).node);
+        let first = nodes.next();
+        if nodes.all(|n| Some(n) == first) {
             self.cluster.intra_node_link
         } else {
             self.cluster.inter_node_link
-        }
-    }
-
-    /// Returns true if all the given instances share one node.
-    pub fn same_node(&self, instances: &[InstanceId]) -> bool {
-        match instances.first() {
-            None => true,
-            Some(&first) => {
-                let node = self.get(first).node;
-                instances.iter().all(|&i| self.get(i).node == node)
-            }
         }
     }
 }
@@ -191,9 +176,14 @@ mod tests {
         let same = reg.link_between(&[InstanceId(0), InstanceId(1)]);
         let cross = reg.link_between(&[InstanceId(0), InstanceId(5)]);
         assert!(same.bandwidth > cross.bandwidth);
-        assert!(reg.same_node(&[InstanceId(0), InstanceId(3)]));
-        assert!(!reg.same_node(&[InstanceId(3), InstanceId(4)]));
-        assert!(reg.same_node(&[]));
+        let cluster = ClusterSpec::two_node_a800();
+        let link = |ids: &[u64]| {
+            let ids: Vec<InstanceId> = ids.iter().map(|&i| InstanceId(i)).collect();
+            reg.link_between(&ids)
+        };
+        assert_eq!(link(&[0, 3]), cluster.intra_node_link);
+        assert_eq!(link(&[3, 4]), cluster.inter_node_link);
+        assert_eq!(link(&[]), cluster.intra_node_link);
     }
 
     #[test]

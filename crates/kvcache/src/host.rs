@@ -70,11 +70,6 @@ impl HostKvPool {
         self.per_request.keys().copied().collect()
     }
 
-    /// Number of swapped-out requests.
-    pub fn swapped_count(&self) -> usize {
-        self.per_request.len()
-    }
-
     /// Accepts `tokens` slots of `request` into the host pool.
     ///
     /// Fails if the host is full or the request is already parked here
@@ -184,6 +179,6 @@ mod tests {
         let mut host = HostKvPool::new(100);
         host.accept(RequestId(1), 0).expect("trivially fits");
         assert!(!host.hosts(RequestId(1)));
-        assert_eq!(host.swapped_count(), 0);
+        assert!(host.swapped_requests().is_empty());
     }
 }

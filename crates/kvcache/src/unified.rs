@@ -422,18 +422,6 @@ impl UnifiedKvPool {
         Ok(())
     }
 
-    /// Extends the pool with additional empty instances (multi-node scale
-    /// out).
-    pub fn add_instances(&mut self, count: usize, capacity_per_instance: u64) {
-        let start = self.pools.len();
-        for i in 0..count {
-            self.pools.push(InstanceKvPool::new(
-                InstanceId::from(start + i),
-                capacity_per_instance,
-            ));
-        }
-    }
-
     /// Per-instance utilisation in `[0, 1]`, sorted by instance id.
     ///
     /// Returns a sorted `Vec` rather than a `HashMap` so callers that
@@ -468,11 +456,6 @@ impl UnifiedKvPool {
     /// The host swap tier, if enabled.
     pub fn host(&self) -> Option<&HostKvPool> {
         self.host.as_ref()
-    }
-
-    /// Returns true if the host swap tier is enabled.
-    pub fn host_enabled(&self) -> bool {
-        self.host.is_some()
     }
 
     /// Tokens `request` has parked on the host tier (zero when the tier is
@@ -942,16 +925,6 @@ mod tests {
     }
 
     #[test]
-    fn add_instances_extends_capacity() {
-        let mut p = pool();
-        let before = p.total_capacity();
-        p.add_instances(2, 50_000);
-        assert_eq!(p.num_instances(), 5);
-        assert_eq!(p.total_capacity(), before + 100_000);
-        assert_eq!(p.instance(InstanceId(4)).capacity(), 50_000);
-    }
-
-    #[test]
     fn utilization_reports_per_instance_in_sorted_order() {
         let mut p = UnifiedKvPool::with_capacities(&[100, 100]);
         p.append(RequestId(1), InstanceId(0), 50).expect("room");
@@ -1052,9 +1025,8 @@ mod tests {
         assert_eq!(p.device_utilization(), 0.0);
         p.append(RequestId(0), InstanceId(0), 100).expect("room");
         assert!((p.device_utilization() - 0.5).abs() < 1e-12);
-        assert!(!p.host_enabled());
+        assert!(p.host().is_none());
         p.enable_host_tier(50);
-        assert!(p.host_enabled());
         assert_eq!(p.host().expect("enabled").capacity(), 50);
     }
 

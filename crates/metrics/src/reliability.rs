@@ -60,16 +60,6 @@ impl ReliabilityStats {
         self.recovered_requests += other.recovered_requests;
         self.breaker_opens += other.breaker_opens;
     }
-
-    /// Mean time-to-recovery in sim-seconds: average outage length over
-    /// the crashes that struck (0 when none did).
-    pub fn mean_time_to_recovery_s(&self) -> f64 {
-        if self.crashes == 0 {
-            0.0
-        } else {
-            self.downtime_s / self.crashes as f64
-        }
-    }
 }
 
 /// One availability window: the requests that *resolved* — completed or
@@ -167,7 +157,6 @@ mod tests {
     fn zero_stats_report_zero_and_merge_accumulates() {
         let mut a = ReliabilityStats::default();
         assert!(a.is_zero());
-        assert_eq!(a.mean_time_to_recovery_s(), 0.0);
         let b = ReliabilityStats {
             crashes: 2,
             downtime_s: 30.0,
@@ -183,7 +172,6 @@ mod tests {
         assert!(!a.is_zero());
         assert_eq!(a.crashes, 4);
         assert_eq!(a.re_prefilled_tokens, 8_000);
-        assert!((a.mean_time_to_recovery_s() - 15.0).abs() < 1e-9);
     }
 
     #[test]
@@ -214,36 +202,6 @@ mod tests {
     #[test]
     fn empty_run_has_no_windows() {
         assert!(availability_windows(10.0, &[], &[]).is_empty());
-    }
-
-    #[test]
-    fn mttr_conventions_are_pinned() {
-        // Zero crashes: MTTR is 0.0 by convention, never 0/0.
-        let none = ReliabilityStats::default();
-        assert_eq!(none.mean_time_to_recovery_s(), 0.0);
-        // A crash that never recovered within the run: its outage clamps to
-        // the horizon, so downtime can legitimately be 0 (crash at the very
-        // end). MTTR must stay finite — 0.0, not NaN.
-        let at_horizon = ReliabilityStats {
-            crashes: 1,
-            downtime_s: 0.0,
-            ..ReliabilityStats::default()
-        };
-        let mttr = at_horizon.mean_time_to_recovery_s();
-        assert!(mttr.is_finite());
-        assert_eq!(mttr, 0.0);
-        // Attempts with zero successes leave the ledger's derived values
-        // finite too: all counters, no ratios that can divide by zero.
-        let hopeless = ReliabilityStats {
-            crashes: 2,
-            downtime_s: 50.0,
-            failed_attempts: 5,
-            retries_scheduled: 3,
-            retries_exhausted: 3,
-            recovered_requests: 0,
-            ..ReliabilityStats::default()
-        };
-        assert!((hopeless.mean_time_to_recovery_s() - 25.0).abs() < 1e-9);
     }
 
     #[test]

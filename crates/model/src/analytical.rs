@@ -132,15 +132,6 @@ impl AnalyticalModel {
             total / n as f64
         }
     }
-
-    /// Maximum relative prediction error over a validation set.
-    pub fn max_relative_error(&self, samples: &[(Vec<u64>, f64)]) -> f64 {
-        samples
-            .iter()
-            .filter(|(_, m)| *m > 0.0)
-            .map(|(lens, m)| ((self.predict(lens) - m) / m).abs())
-            .fold(0.0, f64::max)
-    }
 }
 
 /// Solves a 3×3 linear system by Gaussian elimination with partial pivoting.
@@ -238,7 +229,6 @@ mod tests {
         };
         let err = m.mean_relative_error(&[(vec![1], 0.0), (vec![2], 2.0)]);
         assert_eq!(err, 0.0);
-        assert_eq!(m.max_relative_error(&[(vec![2], 4.0)]), 0.5);
     }
 
     #[test]

@@ -12,10 +12,6 @@
 //! This module breaks the dense assumption out of [`CostModel`]'s
 //! arithmetic into a first-class policy API:
 //!
-//! * [`AttentionCost`] — the trait every policy implements. It owns **both**
-//!   sides of the attention roofline: the FLOP counts *and* the HBM KV-read
-//!   token counts (sparse decode also reads less KV, which matters because
-//!   decode attention is bandwidth-bound).
 //! * [`Dense`] — the paper's original behaviour, bit-for-bit identical to
 //!   the pre-policy arithmetic (pinned by the golden digests).
 //! * [`PageSparseDecode`] — LServe-style sparse decode: each step attends
@@ -26,8 +22,11 @@
 //!   side: each query block attends to at most the selection budget of
 //!   context tokens, skipping pages below it. Decode stays dense.
 //! * [`AttentionCostPolicy`] — the serialisable sum type carried by
-//!   [`CostModel`]; it implements [`AttentionCost`] by delegation, so the
-//!   whole workspace selects a policy per run without generics.
+//!   [`CostModel`]; its methods delegate to the selected policy, so the
+//!   whole workspace selects a policy per run without generics. Each policy
+//!   prices **both** sides of the attention roofline: the FLOP counts *and*
+//!   the HBM KV-read token counts (sparse decode also reads less KV, which
+//!   matters because decode attention is bandwidth-bound).
 //!
 //! # Invariants (pinned by `tests/sparse_attention_properties.rs`)
 //!
@@ -49,46 +48,6 @@
 use crate::config::ModelConfig;
 use serde::{Deserialize, Serialize};
 
-/// The contract every attention-cost policy fulfils.
-///
-/// All methods take token counts as `f64` (matching the roofline's
-/// arithmetic) and must be pure: the scheduling paths call them at every
-/// iteration and rely on identical inputs producing identical outputs.
-///
-/// The two `*_flops` methods price the arithmetic side of the attention
-/// roofline; the two `*_kv_read_tokens` methods price the HBM side — how
-/// many tokens' worth of KV cache the kernel actually streams. A sparse
-/// policy must cap **both**: long-context decode is bandwidth-bound, so
-/// reducing FLOPs alone would change nothing.
-pub trait AttentionCost {
-    /// FLOPs of attention for `new_tokens` query positions attending over
-    /// `total_context` cached positions (including themselves), causal.
-    /// Used by full prefills (`new == total`), chunked-prefill chunks and
-    /// the cached-context surcharge of prefix-cache suffix prefills.
-    fn prefill_attention_flops(
-        &self,
-        model: &ModelConfig,
-        new_tokens: f64,
-        total_context: f64,
-    ) -> f64;
-
-    /// FLOPs of one decode step (a single new token) attending over
-    /// `context_len` cached tokens.
-    fn decode_attention_flops(&self, model: &ModelConfig, context_len: f64) -> f64;
-
-    /// Tokens' worth of KV cache one decode step streams from HBM for a
-    /// request with `context_len` cached tokens.
-    fn decode_kv_read_tokens(&self, context_len: f64) -> f64;
-
-    /// Tokens' worth of KV cache a prefill chunk of `chunk_tokens` streams
-    /// from HBM while attending over `total_context` processed tokens
-    /// (chunk included).
-    fn chunk_kv_read_tokens(&self, chunk_tokens: f64, total_context: f64) -> f64;
-
-    /// Short label for figure legends and bench output.
-    fn label(&self) -> &'static str;
-}
-
 /// Dense causal attention over the full context — the paper's original
 /// behaviour and the default policy.
 ///
@@ -100,7 +59,9 @@ pub trait AttentionCost {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Dense;
 
-impl AttentionCost for Dense {
+impl Dense {
+    /// Dense causal attention FLOPs (see
+    /// [`AttentionCostPolicy::prefill_attention_flops`]).
     fn prefill_attention_flops(
         &self,
         model: &ModelConfig,
@@ -110,20 +71,19 @@ impl AttentionCost for Dense {
         model.attention_flops(new_tokens, total_context)
     }
 
+    /// One decode step over the whole context.
     fn decode_attention_flops(&self, model: &ModelConfig, context_len: f64) -> f64 {
         model.attention_flops(1.0, context_len)
     }
 
+    /// A decode step streams the whole cached context.
     fn decode_kv_read_tokens(&self, context_len: f64) -> f64 {
         context_len
     }
 
+    /// A prefill chunk streams the whole processed context.
     fn chunk_kv_read_tokens(&self, _chunk_tokens: f64, total_context: f64) -> f64 {
         total_context
-    }
-
-    fn label(&self) -> &'static str {
-        "dense"
     }
 }
 
@@ -186,19 +146,19 @@ impl PageSparseDecode {
         }
         Ok(())
     }
-}
 
-impl AttentionCost for PageSparseDecode {
+    /// Prefill is dense under this policy; only decode is sparse.
     fn prefill_attention_flops(
         &self,
         model: &ModelConfig,
         new_tokens: f64,
         total_context: f64,
     ) -> f64 {
-        // Prefill is dense under this policy; only decode is sparse.
         model.attention_flops(new_tokens, total_context)
     }
 
+    /// Attention over the sink, the recent window and the selected pages,
+    /// plus the page-selection scoring; never more than dense.
     fn decode_attention_flops(&self, model: &ModelConfig, context_len: f64) -> f64 {
         let dense = model.attention_flops(1.0, context_len);
         let sparse = model.attention_flops(1.0, self.effective_context(context_len))
@@ -208,16 +168,14 @@ impl AttentionCost for PageSparseDecode {
         dense.min(sparse)
     }
 
+    /// A decode step streams at most the token budget.
     fn decode_kv_read_tokens(&self, context_len: f64) -> f64 {
         self.effective_context(context_len)
     }
 
+    /// Prefill chunks stay dense: they stream the whole processed context.
     fn chunk_kv_read_tokens(&self, _chunk_tokens: f64, total_context: f64) -> f64 {
         total_context
-    }
-
-    fn label(&self) -> &'static str {
-        "page-sparse-decode"
     }
 }
 
@@ -274,9 +232,9 @@ impl HierarchicalPrefill {
         }
         Ok(())
     }
-}
 
-impl AttentionCost for HierarchicalPrefill {
+    /// Attention with every query's context capped at the budget, plus the
+    /// page-selection scoring; never more than dense.
     fn prefill_attention_flops(
         &self,
         model: &ModelConfig,
@@ -291,32 +249,40 @@ impl AttentionCost for HierarchicalPrefill {
         dense.min(sparse)
     }
 
+    /// Decode is dense under this policy.
     fn decode_attention_flops(&self, model: &ModelConfig, context_len: f64) -> f64 {
         model.attention_flops(1.0, context_len)
     }
 
+    /// A decode step streams the whole cached context.
     fn decode_kv_read_tokens(&self, context_len: f64) -> f64 {
         context_len
     }
 
+    /// Each query block of the chunk streams at most its budget of selected
+    /// pages; never more than the dense read set.
     fn chunk_kv_read_tokens(&self, chunk_tokens: f64, total_context: f64) -> f64 {
         if chunk_tokens <= 0.0 {
             return total_context;
         }
-        // Each query block streams at most its budget of selected pages;
-        // never more than the dense read set.
         let blocks = (chunk_tokens / self.page_tokens as f64).ceil();
         total_context.min(blocks * self.budget_tokens as f64)
-    }
-
-    fn label(&self) -> &'static str {
-        "hierarchical-prefill"
     }
 }
 
 /// The attention-cost policy carried by [`CostModel`]: a serialisable sum
-/// type over the three implementations, delegating [`AttentionCost`] to the
-/// selected one.
+/// type over the three policies, each method delegating to the selected
+/// one.
+///
+/// All methods take token counts as `f64` (matching the roofline's
+/// arithmetic) and are pure: the scheduling paths call them at every
+/// iteration and rely on identical inputs producing identical outputs.
+///
+/// The two `*_flops` methods price the arithmetic side of the attention
+/// roofline; the two `*_kv_read_tokens` methods price the HBM side — how
+/// many tokens' worth of KV cache the kernel actually streams. A sparse
+/// policy must cap **both**: long-context decode is bandwidth-bound, so
+/// reducing FLOPs alone would change nothing.
 ///
 /// [`CostModel`]: crate::roofline::CostModel
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -358,10 +324,12 @@ impl AttentionCostPolicy {
             AttentionCostPolicy::HierarchicalPrefill(p) => p.validate(),
         }
     }
-}
 
-impl AttentionCost for AttentionCostPolicy {
-    fn prefill_attention_flops(
+    /// FLOPs of attention for `new_tokens` query positions attending over
+    /// `total_context` cached positions (including themselves), causal.
+    /// Used by full prefills (`new == total`), chunked-prefill chunks and
+    /// the cached-context surcharge of prefix-cache suffix prefills.
+    pub fn prefill_attention_flops(
         &self,
         model: &ModelConfig,
         new_tokens: f64,
@@ -380,7 +348,9 @@ impl AttentionCost for AttentionCostPolicy {
         }
     }
 
-    fn decode_attention_flops(&self, model: &ModelConfig, context_len: f64) -> f64 {
+    /// FLOPs of one decode step (a single new token) attending over
+    /// `context_len` cached tokens.
+    pub fn decode_attention_flops(&self, model: &ModelConfig, context_len: f64) -> f64 {
         match self {
             AttentionCostPolicy::Dense => Dense.decode_attention_flops(model, context_len),
             AttentionCostPolicy::PageSparseDecode(p) => {
@@ -392,7 +362,9 @@ impl AttentionCost for AttentionCostPolicy {
         }
     }
 
-    fn decode_kv_read_tokens(&self, context_len: f64) -> f64 {
+    /// Tokens' worth of KV cache one decode step streams from HBM for a
+    /// request with `context_len` cached tokens.
+    pub fn decode_kv_read_tokens(&self, context_len: f64) -> f64 {
         match self {
             AttentionCostPolicy::Dense => Dense.decode_kv_read_tokens(context_len),
             AttentionCostPolicy::PageSparseDecode(p) => p.decode_kv_read_tokens(context_len),
@@ -400,7 +372,10 @@ impl AttentionCost for AttentionCostPolicy {
         }
     }
 
-    fn chunk_kv_read_tokens(&self, chunk_tokens: f64, total_context: f64) -> f64 {
+    /// Tokens' worth of KV cache a prefill chunk of `chunk_tokens` streams
+    /// from HBM while attending over `total_context` processed tokens
+    /// (chunk included).
+    pub fn chunk_kv_read_tokens(&self, chunk_tokens: f64, total_context: f64) -> f64 {
         match self {
             AttentionCostPolicy::Dense => Dense.chunk_kv_read_tokens(chunk_tokens, total_context),
             AttentionCostPolicy::PageSparseDecode(p) => {
@@ -412,11 +387,12 @@ impl AttentionCost for AttentionCostPolicy {
         }
     }
 
-    fn label(&self) -> &'static str {
+    /// Short label for figure legends and bench output.
+    pub fn label(&self) -> &'static str {
         match self {
-            AttentionCostPolicy::Dense => Dense.label(),
-            AttentionCostPolicy::PageSparseDecode(p) => p.label(),
-            AttentionCostPolicy::HierarchicalPrefill(p) => p.label(),
+            AttentionCostPolicy::Dense => "dense",
+            AttentionCostPolicy::PageSparseDecode(_) => "page-sparse-decode",
+            AttentionCostPolicy::HierarchicalPrefill(_) => "hierarchical-prefill",
         }
     }
 }

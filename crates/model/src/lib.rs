@@ -39,9 +39,7 @@ pub mod roofline;
 pub mod sib;
 
 pub use analytical::{AnalyticalModel, BatchFeatures};
-pub use attention::{
-    AttentionCost, AttentionCostPolicy, Dense, HierarchicalPrefill, PageSparseDecode,
-};
+pub use attention::{AttentionCostPolicy, Dense, HierarchicalPrefill, PageSparseDecode};
 pub use config::ModelConfig;
 pub use roofline::{CostModel, IterationCost, ParallelConfig};
 pub use sib::{ProfileRecord, ScalingInfoBase};
@@ -49,9 +47,7 @@ pub use sib::{ProfileRecord, ScalingInfoBase};
 /// Convenient glob-import of the most commonly used types.
 pub mod prelude {
     pub use crate::analytical::{AnalyticalModel, BatchFeatures};
-    pub use crate::attention::{
-        AttentionCost, AttentionCostPolicy, Dense, HierarchicalPrefill, PageSparseDecode,
-    };
+    pub use crate::attention::{AttentionCostPolicy, Dense, HierarchicalPrefill, PageSparseDecode};
     pub use crate::config::ModelConfig;
     pub use crate::roofline::{CostModel, IterationCost, ParallelConfig};
     pub use crate::sib::{ProfileRecord, ScalingInfoBase};

@@ -20,7 +20,7 @@
 //! and multi-master decode winning only at large batch sizes (Figure 14b) —
 //! are the inputs every scheduling policy in the workspace reasons about.
 
-use crate::attention::{AttentionCost, AttentionCostPolicy};
+use crate::attention::AttentionCostPolicy;
 use crate::config::ModelConfig;
 use loong_cluster::comm::CommModel;
 use loong_cluster::gpu::{GpuSpec, LinkSpec};
@@ -450,13 +450,6 @@ impl CostModel {
         }
     }
 
-    /// Time to reactively migrate the KV cache of `tokens` tokens between
-    /// two instances over `link` — the cost LoongServe's proactive
-    /// mechanisms avoid and the reactive baselines pay.
-    pub fn kv_migration_time(&self, tokens: u64, link: LinkSpec) -> f64 {
-        CommModel::new(link).migrate(tokens as f64 * self.model.kv_bytes_per_token())
-    }
-
     /// The batch size at which the decode phase transitions from
     /// memory-bound (weight streaming) to compute-bound (FFN GEMMs) on a
     /// `tp`-GPU instance. The global manager uses this threshold to decide
@@ -549,14 +542,6 @@ impl CostModel {
             + self.model.num_layers as f64 * self.gpu.per_layer_overhead_s;
         let amortize_tokens = (10.0 * fixed_overhead / time_per_token).ceil();
         roofline_tokens.max(amortize_tokens) as u64
-    }
-
-    /// The iteration-time budget corresponding to
-    /// [`Self::prefill_saturation_tokens`] — the "tipping point" used by the
-    /// dispatcher.
-    pub fn prefill_saturation_time(&self, parallel: ParallelConfig, sp_link: LinkSpec) -> f64 {
-        let tokens = self.prefill_saturation_tokens(parallel);
-        self.prefill_cost(&[tokens], parallel, sp_link).total()
     }
 }
 
@@ -698,7 +683,7 @@ mod tests {
         // decode iteration.
         let cm = model();
         let p = ParallelConfig::new(2, 4);
-        let migrate = cm.kv_migration_time(500_000, nvlink());
+        let migrate = CommModel::new(nvlink()).migrate(500_000.0 * cm.model.kv_bytes_per_token());
         let decode = cm.decode_cost(&[500_000], p, 1, nvlink()).total();
         assert!(
             migrate > 3.0 * decode,

@@ -50,13 +50,6 @@ pub struct ProfileRecord {
     pub measured_s: f64,
 }
 
-impl ProfileRecord {
-    /// Summary features of the profiled batch.
-    pub fn features(&self) -> BatchFeatures {
-        BatchFeatures::from_lens(&self.input_lens)
-    }
-}
-
 /// The profile store plus everything fitted/derived from it.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ScalingInfoBase {
@@ -192,14 +185,6 @@ impl ScalingInfoBase {
         self.decode_compute_bound_bs.get(&tp).copied()
     }
 
-    /// Records for one parallelism strategy, handy for validation plots.
-    pub fn records_for(&self, parallel: ParallelConfig) -> Vec<&ProfileRecord> {
-        self.records
-            .iter()
-            .filter(|r| r.parallel == parallel)
-            .collect()
-    }
-
     /// Serialises the SIB to a JSON string (the stand-in for the paper's
     /// SQLite store).
     pub fn to_json(&self) -> serde_json::Result<String> {
@@ -316,16 +301,5 @@ mod tests {
                 "grid entry exceeds context window badly"
             );
         }
-    }
-
-    #[test]
-    fn records_for_filters_by_config() {
-        let cm = CostModel::new(ModelConfig::lwm_1m_text());
-        let mut rng = SimRng::seed(4);
-        let configs = [ParallelConfig::new(2, 4), ParallelConfig::new(8, 1)];
-        let sib = ScalingInfoBase::profile(&cm, &configs, LinkSpec::nvlink_a800(), 0.0, &mut rng);
-        let r24 = sib.records_for(ParallelConfig::new(2, 4));
-        assert!(!r24.is_empty());
-        assert!(r24.iter().all(|r| r.parallel == ParallelConfig::new(2, 4)));
     }
 }

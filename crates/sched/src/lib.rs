@@ -3,7 +3,7 @@
 //! Scheduling policies for LoongServe-RS: the LoongServe global manager and
 //! every baseline system used in the paper's evaluation.
 //!
-//! * [`types`] — the [`Scheduler`](types::Scheduler) trait, the view of
+//! * [`types`] — the [`Scheduler`] trait, the view of
 //!   system state schedulers observe, and the actions they emit,
 //! * [`manager`] — the LoongServe global manager's four-step algorithm
 //!   (dispatching, elastic instance allocation, DP batching, scaling plan
@@ -20,8 +20,8 @@
 //!   candidate sets, per-request retry budgets with exponential backoff,
 //!   and a per-replica count/window circuit breaker,
 //! * [`elastic`] — the elasticity tier's controllers: the target-tracking
-//!   fleet [`Autoscaler`](elastic::Autoscaler) and the saturation-triggered
-//!   [`AdmissionController`](elastic::AdmissionController) with class-priority
+//!   fleet [`Autoscaler`] and the saturation-triggered
+//!   [`AdmissionController`] with class-priority
 //!   shedding and hysteresis.
 //!
 //! # Examples

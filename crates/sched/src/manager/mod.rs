@@ -23,16 +23,12 @@ pub struct LoongServeConfig {
     /// Whether decode groups may scale up (disabled for the Figure 13a
     /// ablation).
     pub enable_scale_up: bool,
-    /// Whether prefill batches proactively scale down after the prefill
-    /// phase. Disabling keeps every batch at its prefill DoP.
-    pub enable_proactive_scale_down: bool,
 }
 
 impl Default for LoongServeConfig {
     fn default() -> Self {
         LoongServeConfig {
             enable_scale_up: true,
-            enable_proactive_scale_down: true,
         }
     }
 }
@@ -75,11 +71,6 @@ impl LoongServeScheduler {
         pressure.validate().expect("valid pressure config");
         self.pressure = Some(pressure);
         self
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> LoongServeConfig {
-        self.config
     }
 
     fn find_pending<'a>(view: &'a SchedulerView<'_>, id: RequestId) -> Option<&'a PendingRequest> {
@@ -217,11 +208,8 @@ impl Scheduler for LoongServeScheduler {
                         .map(|&(_, _, m)| m)
                 })
                 .sum();
-            let retain_on = if self.config.enable_proactive_scale_down {
-                scaling::plan_scale_down(view, &batch.instances, tokens, expected_output)
-            } else {
-                batch.instances.clone()
-            };
+            let retain_on =
+                scaling::plan_scale_down(view, &batch.instances, tokens, expected_output);
             if retain_on.len() < batch.instances.len() {
                 self.events.push(ScalingEvent {
                     at: view.now,
@@ -456,7 +444,6 @@ mod tests {
         }];
         let mut without = LoongServeScheduler::with_config(LoongServeConfig {
             enable_scale_up: false,
-            enable_proactive_scale_down: true,
         });
         let _ = without.schedule(&view(&f));
         assert!(without

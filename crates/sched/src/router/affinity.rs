@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 ///
 /// A pin is honoured only while the pinned replica is routable. When a
 /// crash removes it from the candidate set, the conversation **re-pins**:
-/// the fallback picks the least-KV candidate (shared [`argmin_among`]
+/// the fallback picks the least-KV candidate (shared `argmin_among`
 /// tie-break) and the map is updated, because the crashed replica lost its
 /// device pool — after recovery it holds nothing for this conversation, so
 /// the *new* replica is now the only one that could retain the re-prefilled
@@ -42,10 +42,6 @@ impl PrefixAffinityRouter {
 }
 
 impl Router for PrefixAffinityRouter {
-    fn name(&self) -> String {
-        "prefix-affinity".to_string()
-    }
-
     fn route(
         &mut self,
         request: &RouteRequest,

@@ -10,7 +10,7 @@ use loong_simcore::ids::ReplicaId;
 /// long-context workloads a single 200K-token prompt outweighs hundreds of
 /// chat requests, so counting requests would badly misjudge skewed mixes.
 /// Ties break towards the lowest candidate id via the shared
-/// [`argmin_among`] helper.
+/// `argmin_among` helper.
 ///
 /// The routing tier gets no completion feedback from the replicas, so the
 /// sums are **cumulative assigned work, never drained**: over a long trace
@@ -31,10 +31,6 @@ impl JoinShortestQueueRouter {
 }
 
 impl Router for JoinShortestQueueRouter {
-    fn name(&self) -> String {
-        "join-shortest-queue".to_string()
-    }
-
     fn route(
         &mut self,
         _request: &RouteRequest,

@@ -11,7 +11,7 @@ use loong_simcore::ids::ReplicaId;
 /// million-token prompt pins ~488 GB of KV — while the declared output
 /// bound mostly predicts *time*, not *memory*. On prompt-skewed mixes the
 /// two policies can disagree sharply. Ties break towards the lowest
-/// candidate id via the shared [`argmin_among`] helper.
+/// candidate id via the shared `argmin_among` helper.
 ///
 /// Like join-shortest-queue, the sum is cumulative assigned work — the
 /// routing tier gets no release feedback from the replicas' KV pools, so
@@ -28,10 +28,6 @@ impl LeastKvLoadRouter {
 }
 
 impl Router for LeastKvLoadRouter {
-    fn name(&self) -> String {
-        "least-kv-load".to_string()
-    }
-
     fn route(
         &mut self,
         _request: &RouteRequest,

@@ -18,7 +18,8 @@
 //! identically, bit for bit. Ties are always broken by the lowest
 //! [`ReplicaId`] (loads are iterated in replica-id order with a
 //! strictly-less comparison), and the power-of-two-choices policy draws its
-//! probe pairs from a seeded [`SimRng`] substream.
+//! probe pairs from a seeded [`SimRng`](loong_simcore::rng::SimRng)
+//! substream.
 
 mod affinity;
 mod jsq;
@@ -156,9 +157,6 @@ impl FleetLoadTracker {
 /// Implementations must be deterministic: the same construction parameters
 /// and the same sequence of `route` calls must produce the same assignments.
 pub trait Router {
-    /// Human-readable name used in reports (e.g. "round-robin").
-    fn name(&self) -> String;
-
     /// Chooses the replica to serve `request` from `candidates`. `loads`
     /// is the fleet's current per-replica accounting, in replica-id order;
     /// `candidates` is the **routable** subset — healthy replicas, in
@@ -271,14 +269,6 @@ impl RouterPolicy {
         ]
     }
 
-    /// Every shipped policy including the passthrough identity — the set
-    /// the reliability suites quantify determinism over.
-    pub fn all_policies_with_passthrough() -> Vec<RouterPolicy> {
-        let mut policies = Self::all_policies();
-        policies.push(RouterPolicy::Passthrough);
-        policies
-    }
-
     /// Builds the router implementing this policy.
     pub fn build(&self) -> Box<dyn Router> {
         match *self {
@@ -384,15 +374,6 @@ mod tests {
             vec![ReplicaId(0), ReplicaId(1), ReplicaId(2)]
         );
         assert!(all_replicas(0).is_empty());
-    }
-
-    #[test]
-    fn policy_factory_builds_matching_names() {
-        for policy in RouterPolicy::all_policies() {
-            let router = policy.build();
-            assert_eq!(router.name(), policy.label());
-        }
-        assert_eq!(RouterPolicy::Passthrough.build().name(), "passthrough");
     }
 
     #[test]

@@ -34,10 +34,6 @@ impl PowerOfTwoChoicesRouter {
 }
 
 impl Router for PowerOfTwoChoicesRouter {
-    fn name(&self) -> String {
-        "power-of-two-choices".to_string()
-    }
-
     fn route(
         &mut self,
         _request: &RouteRequest,

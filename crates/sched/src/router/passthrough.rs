@@ -22,10 +22,6 @@ impl PassthroughRouter {
 }
 
 impl Router for PassthroughRouter {
-    fn name(&self) -> String {
-        "passthrough".to_string()
-    }
-
     fn route(
         &mut self,
         _request: &RouteRequest,

@@ -26,10 +26,6 @@ impl RoundRobinRouter {
 }
 
 impl Router for RoundRobinRouter {
-    fn name(&self) -> String {
-        "round-robin".to_string()
-    }
-
     fn route(
         &mut self,
         _request: &RouteRequest,

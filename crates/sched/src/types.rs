@@ -177,14 +177,6 @@ impl SchedulerView<'_> {
             .sum()
     }
 
-    /// The decoding requests whose KV overlaps any of `instances`.
-    pub fn decoding_resident_on(&self, instances: &[InstanceId]) -> Vec<&DecodingRequest> {
-        self.decoding
-            .iter()
-            .filter(|d| d.kv_instances.iter().any(|i| instances.contains(i)))
-            .collect()
-    }
-
     /// Device KV pool utilisation of the **active working set** in
     /// `[0, 1]` — the primary pressure signal watermark policies compare
     /// against. Retained prefix-cache entries are excluded: they are
@@ -210,11 +202,6 @@ impl SchedulerView<'_> {
     /// Free slots on the host swap tier (zero when the tier is disabled).
     pub fn host_free_slots(&self) -> u64 {
         self.pool.host().map(|h| h.free()).unwrap_or(0)
-    }
-
-    /// Tokens currently parked on the host swap tier.
-    pub fn swapped_tokens(&self) -> u64 {
-        self.pool.total_swapped()
     }
 }
 

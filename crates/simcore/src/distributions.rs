@@ -113,25 +113,9 @@ impl Zipf {
         }
     }
 
-    /// The number of ranks.
-    pub fn ranks(&self) -> usize {
-        self.n
-    }
-
     /// The exponent `s`.
     pub fn exponent(&self) -> f64 {
         self.exponent
-    }
-
-    /// Probability of rank `k` (1-based).
-    pub fn pmf(&self, k: usize) -> f64 {
-        assert!(
-            (1..=self.n).contains(&k),
-            "rank {k} out of range 1..={}",
-            self.n
-        );
-        let lo = if k == 1 { 0.0 } else { self.cdf[k - 2] };
-        self.cdf[k - 1] - lo
     }
 
     /// Draws a rank in `1..=n`.
@@ -332,18 +316,31 @@ mod tests {
     #[test]
     fn zipf_rank_one_dominates() {
         let z = Zipf::new(4, 1.2);
-        assert!(z.pmf(1) > z.pmf(2));
-        assert!(z.pmf(2) > z.pmf(4));
-        let total: f64 = (1..=4).map(|k| z.pmf(k)).sum();
-        assert!((total - 1.0).abs() < 1e-9);
+        let counts = rank_counts(&z, 4, 20_000, 8);
+        assert!(counts[1] > counts[2], "{counts:?}");
+        assert!(counts[2] > counts[4], "{counts:?}");
     }
 
     #[test]
     fn zipf_zero_exponent_is_uniform() {
         let z = Zipf::new(5, 0.0);
-        for k in 1..=5 {
-            assert!((z.pmf(k) - 0.2).abs() < 1e-9);
+        let n = 50_000;
+        let counts = rank_counts(&z, 5, n, 9);
+        for &c in &counts[1..] {
+            let share = c as f64 / n as f64;
+            assert!((share - 0.2).abs() < 0.01, "share {share} of {counts:?}");
         }
+    }
+
+    /// Draws `n` ranks from `z` over `ranks` ranks and counts them by rank
+    /// (index 0 unused).
+    fn rank_counts(z: &Zipf, ranks: usize, n: usize, seed: u64) -> Vec<usize> {
+        let mut rng = SimRng::seed(seed);
+        let mut counts = vec![0; ranks + 1];
+        for _ in 0..n {
+            counts[z.sample(&mut rng)] += 1;
+        }
+        counts
     }
 
     #[test]

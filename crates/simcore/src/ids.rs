@@ -155,11 +155,6 @@ impl<T: From<u64>> IdAllocator<T> {
         self.next += 1;
         T::from(id)
     }
-
-    /// The number of identifiers allocated so far.
-    pub fn allocated(&self) -> u64 {
-        self.next
-    }
 }
 
 #[cfg(test)]
@@ -179,7 +174,6 @@ mod tests {
         let a = alloc.next();
         let b = alloc.next();
         assert!(b > a);
-        assert_eq!(alloc.allocated(), 2);
     }
 
     #[test]

@@ -199,11 +199,6 @@ impl<T> RequestTable<T> {
         Some(&mut self.slots[pos].payload)
     }
 
-    /// The coarse class of `id`, if present.
-    pub fn class_of(&self, id: RequestId) -> Option<PhaseClass> {
-        self.position(id).map(|pos| self.slots[pos].class)
-    }
-
     /// Moves `id` to `class`, updating the phase indices in O(log n).
     ///
     /// # Panics
@@ -314,7 +309,6 @@ mod tests {
         assert_eq!(t.len(), 3);
         assert!(t.contains(RequestId(1)));
         assert_eq!(t.get(RequestId(2)), Some(&20));
-        assert_eq!(t.class_of(RequestId(0)), Some(PhaseClass::Pending));
         // Invisible until admitted.
         assert_eq!(t.class_len(PhaseClass::Pending), 0);
         t.admit(RequestId(0));

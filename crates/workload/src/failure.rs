@@ -98,6 +98,27 @@ impl FailureSchedule {
         schedule
     }
 
+    /// Rolling crashes: every replica goes down for one second once per
+    /// `period_s`, staggered so one crash lands every `period_s / replicas`
+    /// seconds fleet-wide. Replica `r` first crashes at
+    /// `period_s * (r + 1) / replicas`; no crash starts at or after
+    /// `horizon_s`.
+    pub fn staggered(replicas: usize, period_s: f64, horizon_s: f64) -> Self {
+        let mut events = Vec::new();
+        for r in 0..replicas {
+            let mut at = period_s * (r as f64 + 1.0) / replicas as f64;
+            while at < horizon_s {
+                events.push(FailureEvent::new(
+                    ReplicaId::from(r),
+                    SimTime::from_secs(at),
+                    SimTime::from_secs(at + 1.0),
+                ));
+                at += period_s;
+            }
+        }
+        Self::from_events(events)
+    }
+
     /// Draws a schedule from a seeded MTBF/MTTR renewal process: each
     /// replica independently alternates exponential up-times (mean
     /// `mtbf_s`) and exponential repair times (mean `mttr_s`), starting
@@ -197,23 +218,6 @@ impl FailureSchedule {
         times
     }
 
-    /// The up-intervals of `replica` as `(start, end)` pairs in time
-    /// order; `end == None` is the final interval running to the end of
-    /// the simulation. A replica scripted to be "born dead" (crash at
-    /// time zero) still yields its leading empty `[0, 0)` interval — the
-    /// reliability tier routes around it via [`FailureSchedule::is_down`],
-    /// never through the empty segment.
-    pub fn up_segments(&self, replica: ReplicaId) -> Vec<(SimTime, Option<SimTime>)> {
-        let mut segments = Vec::new();
-        let mut start = SimTime::ZERO;
-        for e in self.events.iter().filter(|e| e.replica == replica) {
-            segments.push((start, Some(e.crash)));
-            start = e.recover;
-        }
-        segments.push((start, None));
-        segments
-    }
-
     fn validate(&self) {
         for pair in self.events.windows(2) {
             let (a, b) = (&pair[0], &pair[1]);
@@ -287,27 +291,6 @@ mod tests {
     }
 
     #[test]
-    fn up_segments_partition_the_timeline() {
-        let schedule = FailureSchedule::from_events(vec![
-            FailureEvent::new(ReplicaId(0), t(5.0), t(8.0)),
-            FailureEvent::new(ReplicaId(0), t(20.0), t(21.0)),
-        ]);
-        assert_eq!(
-            schedule.up_segments(ReplicaId(0)),
-            vec![
-                (SimTime::ZERO, Some(t(5.0))),
-                (t(8.0), Some(t(20.0))),
-                (t(21.0), None),
-            ]
-        );
-        // An untouched replica has one unbounded segment.
-        assert_eq!(
-            schedule.up_segments(ReplicaId(1)),
-            vec![(SimTime::ZERO, None)]
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "still down")]
     fn overlapping_outages_are_rejected() {
         let _ = FailureSchedule::from_events(vec![
@@ -351,6 +334,35 @@ mod tests {
             };
             assert_eq!(of(&four), of(&six), "replica {r} events moved");
         }
+    }
+
+    #[test]
+    fn staggered_schedule_rolls_one_second_crashes_across_the_fleet() {
+        let schedule = FailureSchedule::staggered(4, 40.0, 100.0);
+        let crashes: Vec<(ReplicaId, f64)> = schedule
+            .events()
+            .iter()
+            .map(|e| (e.replica, e.crash.as_secs()))
+            .collect();
+        assert_eq!(
+            crashes,
+            vec![
+                (ReplicaId(0), 10.0),
+                (ReplicaId(1), 20.0),
+                (ReplicaId(2), 30.0),
+                (ReplicaId(3), 40.0),
+                (ReplicaId(0), 50.0),
+                (ReplicaId(1), 60.0),
+                (ReplicaId(2), 70.0),
+                (ReplicaId(3), 80.0),
+                (ReplicaId(0), 90.0),
+            ]
+        );
+        assert!(schedule
+            .events()
+            .iter()
+            .all(|e| e.downtime().as_secs() == 1.0));
+        assert!(FailureSchedule::staggered(4, 40.0, 10.0).is_empty());
     }
 
     #[test]

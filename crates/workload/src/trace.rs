@@ -98,8 +98,9 @@ impl Trace {
     ///
     /// * **interactive** (the remainder): one ShareGPT-shaped request;
     /// * **long-document**: one L-Eval-shaped request tagged
-    ///   [`TrafficClass::BestEffort`];
-    /// * **multi-turn**: the event starts a [`TrafficClass::Standard`]
+    ///   [`TrafficClass::BestEffort`](crate::request::TrafficClass::BestEffort);
+    /// * **multi-turn**: the event starts a
+    ///   [`TrafficClass::Standard`](crate::request::TrafficClass::Standard)
     ///   conversation whose follow-up turns (growing-context prompts, think
     ///   times, geometric rounds as in [`Trace::generate_multi_turn`])
     ///   arrive *after* the event, so the final trace has at least `count`

@@ -43,7 +43,7 @@ fn main() {
             .collect();
         println!(
             "{:<22} {:>9} {:>10.2} {:>13.4} {:>11.2} {:>18}",
-            fleet.router_name(),
+            fleet.config().policy.label(),
             summary.fleet.completed,
             summary.fleet.throughput_rps,
             summary.fleet.per_token_latency.p90,

@@ -203,25 +203,6 @@ fn run_reliable(
     }
 }
 
-/// Every replica crashes once per `period` seconds, staggered evenly, and
-/// recovers one second later: crash and recovery instants land on control
-/// instants as well as between them.
-fn staggered_crashes(replicas: usize, period: f64, horizon: f64) -> FailureSchedule {
-    let mut events = Vec::new();
-    for r in 0..replicas {
-        let mut at = period * (r as f64 + 1.0) / replicas as f64;
-        while at < horizon {
-            events.push(FailureEvent::new(
-                ReplicaId::from(r),
-                SimTime::from_secs(at),
-                SimTime::from_secs(at + 1.0),
-            ));
-            at += period;
-        }
-    }
-    FailureSchedule::from_events(events)
-}
-
 /// The autoscale smoke trace: 280 diurnal + flash-crowd arrival events of
 /// mixed classes (seed 2026, as in `crates/bench/benches/autoscale.rs`).
 fn autoscale_smoke_trace() -> Trace {
@@ -261,7 +242,7 @@ fn autoscale_smoke_controllers() -> ElasticConfig {
             2.0 * SloSpec::PAPER_SCALE,
         ))
         .with_admission(admission)
-        .with_schedule(staggered_crashes(4, 40.0, 900.0))
+        .with_schedule(FailureSchedule::staggered(4, 40.0, 900.0))
         .with_retry(RetryPolicy::exponential(3, 0.25))
         .with_sla_window(30.0)
 }

@@ -134,6 +134,7 @@ fn engine_respects_sim_time_cap() {
     let scheduler = SystemKind::LoongServe.build_scheduler(
         &InstanceRegistry::build(&config.cluster, config.tp).all_ids(),
         Some(&trace),
+        None,
     );
     let mut engine = ServingEngine::new(config, scheduler);
     let outcome = engine.run(&trace);

@@ -170,8 +170,6 @@ fn armed_but_unpressured_engine_is_bit_for_bit_the_plain_engine() {
             cluster: system.cluster.clone(),
             tp,
             model: system.model.clone(),
-            workspace_fraction: 0.10,
-            sib_noise: 0.01,
             seed: system.seed,
             max_sim_time: None,
             host_swap: Some(HostSwapConfig::from_cluster(
@@ -349,8 +347,6 @@ fn swap_policy_with_tiny_host_falls_back_to_recompute_and_still_terminates() {
         cluster: system.cluster.clone(),
         tp,
         model: system.model.clone(),
-        workspace_fraction: 0.10,
-        sib_noise: 0.01,
         seed: system.seed,
         max_sim_time: Some(SimDuration::from_secs(WATCHDOG_S)),
         host_swap: Some(HostSwapConfig::with_tokens(&system.cluster, 600)),
@@ -359,10 +355,10 @@ fn swap_policy_with_tiny_host_falls_back_to_recompute_and_still_terminates() {
         attention: system.attention,
     };
     let registry = InstanceRegistry::build(&system.cluster, tp);
-    let scheduler = SystemKind::LoongServe.build_pressure_scheduler(
+    let scheduler = SystemKind::LoongServe.build_scheduler(
         &registry.all_ids(),
         None,
-        PressureConfig::swap_to_host(),
+        Some(PressureConfig::swap_to_host()),
     );
     let outcome = ServingEngine::new(config, scheduler).run(&trace);
     check_conserved(&outcome, &trace);

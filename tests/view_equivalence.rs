@@ -78,7 +78,7 @@ proptest! {
         let mut config = EngineConfig::paper_single_node();
         config.max_sim_time = Some(SimDuration::from_secs(cap_ds as f64 / 10.0));
         let registry = InstanceRegistry::build(&config.cluster, config.tp);
-        let scheduler = SystemKind::LoongServe.build_scheduler(&registry.all_ids(), Some(&trace));
+        let scheduler = SystemKind::LoongServe.build_scheduler(&registry.all_ids(), Some(&trace), None);
         let mut engine = ServingEngine::new(config, scheduler);
         let outcome = engine.run(&trace);
         prop_assert!(outcome.records.len() + outcome.rejected.len() + outcome.unfinished <= count);
