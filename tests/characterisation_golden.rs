@@ -63,46 +63,18 @@ fn fleet_digest(d: &mut Digest, outcome: &FleetOutcome) {
     d.word(outcome.scheduler_calls);
 }
 
-fn failed_digest(d: &mut Digest, failed: &[FailedRequest]) {
-    d.word(failed.len() as u64);
-    for f in failed {
-        d.word(f.id.raw());
-        d.time(f.at);
-        d.word(f.replica.raw());
-        d.str(&f.reason);
-    }
-}
-
-fn reliability_digest(d: &mut Digest, stats: &ReliabilityStats, windows: &[SlaWindow]) {
-    d.word(stats.crashes);
-    d.word(stats.downtime_s.to_bits());
-    d.word(stats.failed_attempts);
-    d.word(stats.retries_scheduled);
-    d.word(stats.retries_exhausted);
-    d.word(stats.re_prefilled_tokens);
-    d.word(stats.recovered_requests);
-    d.word(stats.breaker_opens);
-    d.word(windows.len() as u64);
-    for w in windows {
-        d.word(w.start_s.to_bits());
-        d.word(w.end_s.to_bits());
-        d.word(w.completed);
-        d.word(w.failed);
-    }
-}
-
 fn reliable_digest(outcome: &ReliableFleetOutcome) -> u64 {
     let mut d = Digest::new();
     fleet_digest(&mut d, &outcome.fleet);
-    failed_digest(&mut d, &outcome.failed);
-    reliability_digest(&mut d, &outcome.reliability, &outcome.sla_windows);
+    d.failed(&outcome.failed);
+    d.reliability(&outcome.reliability, &outcome.sla_windows);
     d.0
 }
 
 fn elastic_digest(outcome: &ElasticFleetOutcome) -> u64 {
     let mut d = Digest::new();
     fleet_digest(&mut d, &outcome.fleet);
-    failed_digest(&mut d, &outcome.failed);
+    d.failed(&outcome.failed);
     d.word(outcome.shed.len() as u64);
     for s in &outcome.shed {
         d.word(s.id.raw());
@@ -149,7 +121,7 @@ fn elastic_digest(outcome: &ElasticFleetOutcome) -> u64 {
     ] {
         d.word(w);
     }
-    reliability_digest(&mut d, &outcome.reliability, &outcome.sla_windows);
+    d.reliability(&outcome.reliability, &outcome.sla_windows);
     d.0
 }
 

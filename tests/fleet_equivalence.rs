@@ -13,6 +13,11 @@
 //!    outcomes, merged records — alongside the single-engine goldens in
 //!    `tests/determinism_golden.rs`. Routing or merge refactors must not
 //!    move a bit.
+//! 3. **Every policy under crashes.** Each of the six routing policies
+//!    serves the same multi-turn trace on a 3-replica fleet with rolling
+//!    crashes and retries, so every policy — P2C and round-robin included —
+//!    routes over shrunken candidate sets and re-routes retries. Each run
+//!    pins a digest of the whole reliable outcome.
 //!
 //! To re-capture after an *intentional* behaviour change, run:
 //!
@@ -196,8 +201,75 @@ fn repeated_fleet_runs_reproduce_the_digest() {
     assert_eq!(a, b, "identical seeds must reproduce identical fleet runs");
 }
 
+/// A multi-turn ShareGPT trace on a 3-replica fleet whose replicas each
+/// crash for one second every six seconds, staggered so one of the three
+/// is down half the time; casualties retry with backoff.
+fn crash_run(policy: RouterPolicy) -> (Trace, FailureSchedule, ReliableFleetOutcome) {
+    let trace = Trace::generate_multi_turn(
+        DatasetKind::ShareGpt,
+        &MultiTurnProfile::sharegpt(),
+        ArrivalProcess::Poisson { rate: 2.0 },
+        24,
+        &mut SimRng::seed(0x9011c7),
+    );
+    let schedule = FailureSchedule::staggered(3, 6.0, 120.0);
+    let rel =
+        ReliabilityConfig::new(schedule.clone()).with_retry(RetryPolicy::exponential(3, 0.25));
+    let mut fleet = FleetEngine::new(FleetConfig::paper_fleet(SystemKind::LoongServe, 3, policy));
+    let outcome = fleet.run_reliable(&trace, &rel);
+    (trace, schedule, outcome)
+}
+
+fn reliable_digest(outcome: &ReliableFleetOutcome) -> u64 {
+    let mut d = Digest(fleet_digest(&outcome.fleet));
+    d.failed(&outcome.failed);
+    d.reliability(&outcome.reliability, &outcome.sla_windows);
+    d.0
+}
+
+#[test]
+fn every_policy_under_rolling_crashes_is_pinned() {
+    let policies = [
+        (RouterPolicy::Passthrough, GOLDEN_CRASH_PASSTHROUGH),
+        (RouterPolicy::RoundRobin, GOLDEN_CRASH_ROUND_ROBIN),
+        (RouterPolicy::JoinShortestQueue, GOLDEN_CRASH_JSQ),
+        (RouterPolicy::LeastKvLoad, GOLDEN_CRASH_LEAST_KV),
+        (
+            RouterPolicy::PowerOfTwoChoices { seed: 0x90f1ee7 },
+            GOLDEN_CRASH_P2C,
+        ),
+        (RouterPolicy::PrefixAffinity, GOLDEN_CRASH_PREFIX_AFFINITY),
+    ];
+    for (policy, golden) in policies {
+        let (trace, schedule, outcome) = crash_run(policy);
+        // The run must exercise what it claims to pin: arrivals while a
+        // replica is down, crash casualties retried, every request settled.
+        assert!(trace
+            .requests
+            .iter()
+            .any(|r| (0..3).any(|i| schedule.is_down(ReplicaId(i), r.arrival))));
+        assert!(trace.requests.iter().any(|r| r.conversation.is_some()));
+        assert!(outcome.reliability.retries_scheduled >= 1, "{policy:?}");
+        assert_eq!(outcome.total_requests(), trace.len(), "{policy:?}");
+        check(
+            &format!("crash_{}", policy.label()),
+            golden,
+            reliable_digest(&outcome),
+        );
+    }
+}
+
 // Captured at fleet-tier introduction; see module docs for the re-capture
 // procedure.
 const GOLDEN_FLEET_2X_ROUND_ROBIN: u64 = 0xb4a0_4cc9_72b0_c57f;
 const GOLDEN_FLEET_4X_JSQ: u64 = 0x3598_362b_d2d5_f0d0;
 const GOLDEN_FLEET_4X_P2C: u64 = 0x922d_41e0_3abc_c691;
+
+// Captured before the routing policies were folded into one `Router` value;
+// the fold had to leave all six unchanged.
+const GOLDEN_CRASH_PASSTHROUGH: u64 = 0xa863_c98f_1ac9_1431;
+const GOLDEN_CRASH_ROUND_ROBIN: u64 = 0xbf21_5e46_99c9_570a;
+const GOLDEN_CRASH_JSQ: u64 = 0xdcf2_abd6_ab17_623d;
+const GOLDEN_CRASH_LEAST_KV: u64 = 0xb290_094b_0434_2fd7;
+const GOLDEN_CRASH_P2C: u64 = 0x1495_9024_f21e_7ac5;
+const GOLDEN_CRASH_PREFIX_AFFINITY: u64 = 0xdbef_571f_445c_ed98;

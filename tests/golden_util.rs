@@ -100,6 +100,38 @@ impl Digest {
     }
 }
 
+impl Digest {
+    /// Folds the fleet's failed-request ledger into the digest.
+    pub fn failed(&mut self, failed: &[FailedRequest]) {
+        self.word(failed.len() as u64);
+        for f in failed {
+            self.word(f.id.raw());
+            self.time(f.at);
+            self.word(f.replica.raw());
+            self.str(&f.reason);
+        }
+    }
+
+    /// Folds the reliability ledger and its SLA windows into the digest.
+    pub fn reliability(&mut self, stats: &ReliabilityStats, windows: &[SlaWindow]) {
+        self.word(stats.crashes);
+        self.word(stats.downtime_s.to_bits());
+        self.word(stats.failed_attempts);
+        self.word(stats.retries_scheduled);
+        self.word(stats.retries_exhausted);
+        self.word(stats.re_prefilled_tokens);
+        self.word(stats.recovered_requests);
+        self.word(stats.breaker_opens);
+        self.word(windows.len() as u64);
+        for w in windows {
+            self.word(w.start_s.to_bits());
+            self.word(w.end_s.to_bits());
+            self.word(w.completed);
+            self.word(w.failed);
+        }
+    }
+}
+
 impl Default for Digest {
     fn default() -> Self {
         Self::new()
