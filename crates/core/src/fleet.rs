@@ -482,7 +482,7 @@ pub(crate) struct FleetLoop<'a, I: Iterator<Item = Request>> {
     pub(crate) rec: Option<&'a mut TraceRecorder>,
     /// A fresh router per run, so routing is a pure function of the
     /// configuration and the arrivals.
-    pub(crate) router: Box<dyn Router>,
+    pub(crate) router: Router,
     source: Peekable<I>,
     pub(crate) life: Vec<Life>,
     tracker: FleetLoadTracker,
@@ -529,7 +529,7 @@ impl<'a, I: Iterator<Item = Request>> FleetLoop<'a, I> {
             system: config.replica_system(),
             parallel: config.parallel,
             rec,
-            router: config.policy.build(),
+            router: Router::new(config.policy),
             source: source.peekable(),
             life: (0..n)
                 .map(|r| {

@@ -13,9 +13,10 @@
 //!   disaggregation, static hybrid TP×SP, and replicated instances,
 //! * [`pressure`] — memory-pressure policies: watermark-driven victim
 //!   selection (preempt-and-recompute vs swap-to-host) and re-admission,
-//! * [`router`] — the fleet tier's cluster router: deterministic policies
-//!   (round-robin, join-shortest-queue, least-KV-load,
-//!   power-of-two-choices) assigning arriving requests to replicas,
+//! * [`router`] — the fleet tier's cluster router: one [`Router`] value
+//!   running one of six deterministic policies (passthrough, round-robin,
+//!   join-shortest-queue, least-KV-load, power-of-two-choices, prefix
+//!   affinity) to assign arriving requests to replicas,
 //! * [`reliability`] — the dispatcher's failure handling: health-aware
 //!   candidate sets, per-request retry budgets with exponential backoff,
 //!   and a per-replica count/window circuit breaker,
@@ -58,7 +59,7 @@ pub use pressure::{
     pressure_actions, pressure_actions_with_rescue, PressureConfig, PressurePolicy,
 };
 pub use reliability::{healthy_candidates, CircuitBreaker, CircuitBreakerConfig, RetryPolicy};
-pub use router::{all_replicas, FleetLoadTracker, ReplicaLoad, RouteRequest, Router, RouterPolicy};
+pub use router::{FleetLoadTracker, ReplicaLoad, RouteRequest, Router, RouterPolicy};
 pub use types::{
     Action, DecodingRequest, PendingRequest, ScalingEvent, ScalingEventKind, Scheduler,
     SchedulerView, SwappedRequest,
@@ -81,9 +82,7 @@ pub mod prelude {
     pub use crate::reliability::{
         healthy_candidates, CircuitBreaker, CircuitBreakerConfig, RetryPolicy,
     };
-    pub use crate::router::{
-        all_replicas, FleetLoadTracker, ReplicaLoad, RouteRequest, Router, RouterPolicy,
-    };
+    pub use crate::router::{FleetLoadTracker, ReplicaLoad, RouteRequest, Router, RouterPolicy};
     pub use crate::types::{
         Action, DecodingRequest, PendingRequest, ScalingEvent, ScalingEventKind, Scheduler,
         SchedulerView, SwappedRequest,
