@@ -42,7 +42,7 @@ pub use analytical::{AnalyticalModel, BatchFeatures};
 pub use attention::{AttentionCostPolicy, Dense, HierarchicalPrefill, PageSparseDecode};
 pub use config::ModelConfig;
 pub use roofline::{CostModel, IterationCost, ParallelConfig};
-pub use sib::{ProfileRecord, ScalingInfoBase};
+pub use sib::ScalingInfoBase;
 
 /// Convenient glob-import of the most commonly used types.
 pub mod prelude {
@@ -50,5 +50,5 @@ pub mod prelude {
     pub use crate::attention::{AttentionCostPolicy, Dense, HierarchicalPrefill, PageSparseDecode};
     pub use crate::config::ModelConfig;
     pub use crate::roofline::{CostModel, IterationCost, ParallelConfig};
-    pub use crate::sib::{ProfileRecord, ScalingInfoBase};
+    pub use crate::sib::ScalingInfoBase;
 }
