@@ -3,12 +3,13 @@
 //! Each figure in the paper's evaluation is a sweep over offered request
 //! rates for one or more systems. These helpers generate the trace once per
 //! rate (so every system sees exactly the same arrivals and lengths), run
-//! the systems — in parallel across worker threads when asked — and collect
+//! the systems — on the bounded worker pool when asked — and collect
 //! the per-run summaries needed to reproduce the figure.
 
 use crate::systems::{SystemKind, SystemUnderTest};
 use loong_metrics::slo::{goodput, SloPoint, SloSpec};
 use loong_metrics::summary::RunSummary;
+use loong_simcore::pool::run_indexed;
 use loong_simcore::rng::SimRng;
 use loong_workload::arrival::ArrivalProcess;
 use loong_workload::datasets::DatasetKind;
@@ -67,22 +68,9 @@ pub struct SweepConfig {
     /// Seed shared by all runs of the sweep (the trace at each rate is
     /// identical across systems).
     pub seed: u64,
-    /// Run the rates of the sweep on multiple worker threads.
+    /// Run the rates of the sweep on the bounded worker pool
+    /// ([`run_indexed`]); the summaries come back in rate order either way.
     pub parallel: bool,
-}
-
-impl SweepConfig {
-    /// A small sweep suitable for tests and examples.
-    pub fn quick(workload: WorkloadSpec, rates: Vec<f64>) -> Self {
-        SweepConfig {
-            workload,
-            rates,
-            requests_per_run: 60,
-            slo: SloSpec::default_for_lwm(),
-            seed: 7,
-            parallel: false,
-        }
-    }
 }
 
 /// The result of sweeping one system over the configured rates.
@@ -105,7 +93,8 @@ pub struct SweepResult {
 
 /// Runs a rate sweep for one system.
 pub fn sweep_system(system: &SystemUnderTest, config: &SweepConfig) -> SweepResult {
-    let run_one = |&rate: &f64| -> RunSummary {
+    let run_one = |i: usize| -> RunSummary {
+        let rate = config.rates[i];
         let trace = config
             .workload
             .generate(rate, config.requests_per_run, config.seed);
@@ -114,19 +103,9 @@ pub fn sweep_system(system: &SystemUnderTest, config: &SweepConfig) -> SweepResu
     };
 
     let summaries: Vec<RunSummary> = if config.parallel {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = config
-                .rates
-                .iter()
-                .map(|rate| scope.spawn(move || run_one(rate)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("sweep worker panicked"))
-                .collect()
-        })
+        run_indexed(config.rates.len(), run_one)
     } else {
-        config.rates.iter().map(run_one).collect()
+        (0..config.rates.len()).map(run_one).collect()
     };
 
     let total = config.requests_per_run.max(1);
@@ -187,9 +166,21 @@ mod tests {
     }
 
     #[test]
-    fn quick_sweep_config_is_small() {
-        let c = SweepConfig::quick(WorkloadSpec::Dataset(DatasetKind::ShareGpt), vec![1.0]);
-        assert!(c.requests_per_run <= 100);
-        assert!(!c.parallel);
+    fn pooled_sweep_matches_the_serial_sweep() {
+        let system = SystemUnderTest::paper_single_node(SystemKind::LoongServe);
+        let mut config = SweepConfig {
+            workload: WorkloadSpec::Dataset(DatasetKind::ShareGpt),
+            rates: vec![2.0, 8.0, 16.0],
+            requests_per_run: 20,
+            slo: SloSpec::default_for_lwm(),
+            seed: 5,
+            parallel: false,
+        };
+        let serial = sweep_system(&system, &config);
+        config.parallel = true;
+        let pooled = sweep_system(&system, &config);
+        assert_eq!(pooled.summaries, serial.summaries);
+        assert_eq!(pooled.slo_curve, serial.slo_curve);
+        assert_eq!(pooled.p90_goodput.to_bits(), serial.p90_goodput.to_bits());
     }
 }
