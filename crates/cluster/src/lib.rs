@@ -20,7 +20,7 @@
 //! use loong_cluster::prelude::*;
 //!
 //! let cluster = ClusterSpec::single_node_a800(8);
-//! let comm = CommModel::new(cluster.bottleneck_link(&cluster.all_gpus()));
+//! let comm = CommModel::new(cluster.intra_node_link);
 //! // An 8-way all-reduce of 64 MiB takes well under a millisecond on NVLink.
 //! assert!(comm.ring_allreduce(64.0 * 1024.0 * 1024.0, 8) < 1e-3);
 //! ```

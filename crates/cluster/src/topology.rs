@@ -138,11 +138,6 @@ impl ClusterSpec {
             .collect()
     }
 
-    /// All GPU identifiers in the cluster, in index order.
-    pub fn all_gpus(&self) -> Vec<GpuId> {
-        (0..self.total_gpus()).map(GpuId::from).collect()
-    }
-
     /// The link connecting two GPUs: NVLink if they share a node, the
     /// inter-node fabric otherwise. A GPU talking to itself has an
     /// effectively infinite-bandwidth, zero-latency path, approximated by
@@ -153,20 +148,6 @@ impl ClusterSpec {
         } else {
             self.inter_node_link
         }
-    }
-
-    /// The bottleneck link among a set of GPUs, i.e. the link a ring
-    /// collective spanning all of them is limited by.
-    ///
-    /// Returns the intra-node link for an empty or single-GPU set.
-    pub fn bottleneck_link(&self, gpus: &[GpuId]) -> LinkSpec {
-        let mut worst = self.intra_node_link;
-        for (i, &a) in gpus.iter().enumerate() {
-            for &b in &gpus[i + 1..] {
-                worst = worst.bottleneck(&self.link_between(a, b));
-            }
-        }
-        worst
     }
 
     /// Validates the topology parameters.
@@ -197,7 +178,7 @@ mod tests {
     #[test]
     fn single_node_maps_all_gpus_to_node_zero() {
         let c = ClusterSpec::single_node_a800(8);
-        for g in c.all_gpus() {
+        for g in (0..c.total_gpus()).map(GpuId::from) {
             assert_eq!(c.node_of(g), NodeId(0));
         }
     }
@@ -220,28 +201,10 @@ mod tests {
     }
 
     #[test]
-    fn bottleneck_link_spans_nodes() {
-        let c = ClusterSpec::two_node_a800();
-        let all: Vec<GpuId> = c.all_gpus();
-        let b = c.bottleneck_link(&all);
-        assert_eq!(b.bandwidth, c.inter_node_link.bandwidth);
-        let node0 = c.gpus_on_node(NodeId(0));
-        let b0 = c.bottleneck_link(&node0);
-        assert_eq!(b0.bandwidth, c.intra_node_link.bandwidth);
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_gpu_panics() {
         let c = ClusterSpec::single_node_a800(8);
         let _ = c.node_of(GpuId(8));
-    }
-
-    #[test]
-    fn empty_set_is_single_node() {
-        let c = ClusterSpec::single_node_a800(8);
-        let b = c.bottleneck_link(&[]);
-        assert_eq!(b.bandwidth, c.intra_node_link.bandwidth);
     }
 
     #[test]
@@ -342,19 +305,6 @@ mod tests {
             c.gpus_on_node(NodeId(2)),
             vec![GpuId(8), GpuId(9), GpuId(10), GpuId(11)]
         );
-        // Bottleneck: intra-node within a node, inter-node as soon as the
-        // set spans a boundary.
-        let b_intra = c.bottleneck_link(&c.gpus_on_node(NodeId(1)));
-        assert_eq!(b_intra.bandwidth, c.intra_node_link.bandwidth);
-        let b_cross = c.bottleneck_link(&[GpuId(0), GpuId(4), GpuId(8)]);
-        assert_eq!(b_cross.bandwidth, c.inter_node_link.bandwidth);
-    }
-
-    #[test]
-    fn single_gpu_set_bottleneck_is_intra_node() {
-        let c = ClusterSpec::two_node_a800();
-        let b = c.bottleneck_link(&[GpuId(9)]);
-        assert_eq!(b.bandwidth, c.intra_node_link.bandwidth);
     }
 
     #[test]

@@ -53,14 +53,7 @@ impl UnifiedKvPool {
     /// Creates a pool over `instances` instances, each with `capacity`
     /// token slots.
     pub fn new(instances: usize, capacity_per_instance: u64) -> Self {
-        UnifiedKvPool {
-            pools: (0..instances)
-                .map(|i| InstanceKvPool::new(InstanceId::from(i), capacity_per_instance))
-                .collect(),
-            residency: BTreeMap::new(),
-            host: None,
-            prefix: None,
-        }
+        Self::with_capacities(&vec![capacity_per_instance; instances])
     }
 
     /// Creates a pool with per-instance capacities (useful for heterogeneous

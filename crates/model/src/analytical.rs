@@ -115,7 +115,8 @@ impl AnalyticalModel {
 
     /// Mean relative prediction error over a validation set, as a fraction
     /// (0.1 = 10%). Samples with non-positive measured time are skipped.
-    pub fn mean_relative_error(&self, samples: &[(Vec<u64>, f64)]) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn mean_relative_error(&self, samples: &[(Vec<u64>, f64)]) -> f64 {
         let mut total = 0.0;
         let mut n = 0usize;
         for (lens, measured) in samples {

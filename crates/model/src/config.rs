@@ -67,8 +67,10 @@ impl ModelConfig {
         }
     }
 
-    /// Vanilla Llama-2-7B with its native 4K context window.
-    pub fn llama2_7b() -> Self {
+    /// Vanilla Llama-2-7B with its native 4K context window: the
+    /// small-context fixture of this crate's tests.
+    #[cfg(test)]
+    pub(crate) fn llama2_7b() -> Self {
         ModelConfig {
             max_context_len: 4096,
             name: "Llama-2-7B".to_string(),

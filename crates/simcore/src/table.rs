@@ -33,7 +33,7 @@
 //! let pending: Vec<RequestId> = table.iter_class(PhaseClass::Pending).collect();
 //! assert_eq!(pending, vec![RequestId(1), RequestId(0)]);
 //! table.set_class(RequestId(1), PhaseClass::InFlight);
-//! assert_eq!(table.class_len(PhaseClass::Pending), 1);
+//! assert_eq!(table.iter_class(PhaseClass::Pending).count(), 1);
 //! ```
 
 use crate::ids::RequestId;
@@ -218,11 +218,6 @@ impl<T> RequestTable<T> {
         }
     }
 
-    /// Number of admitted requests currently in `class`.
-    pub fn class_len(&self, class: PhaseClass) -> usize {
-        self.classes[class.index()].len()
-    }
-
     /// Iterates the admitted requests of `class` in admission order.
     pub fn iter_class(&self, class: PhaseClass) -> impl Iterator<Item = RequestId> + '_ {
         self.classes[class.index()].iter().map(|&(_, id)| id)
@@ -310,10 +305,10 @@ mod tests {
         assert!(t.contains(RequestId(1)));
         assert_eq!(t.get(RequestId(2)), Some(&20));
         // Invisible until admitted.
-        assert_eq!(t.class_len(PhaseClass::Pending), 0);
+        assert_eq!(t.iter_class(PhaseClass::Pending).count(), 0);
         t.admit(RequestId(0));
         t.admit(RequestId(2));
-        assert_eq!(t.class_len(PhaseClass::Pending), 2);
+        assert_eq!(t.iter_class(PhaseClass::Pending).count(), 2);
         assert!(t.check_invariants().is_ok());
     }
 
@@ -333,11 +328,11 @@ mod tests {
         t.admit(RequestId(0));
         t.admit(RequestId(1));
         t.set_class(RequestId(0), PhaseClass::InFlight);
-        assert_eq!(t.class_len(PhaseClass::Pending), 1);
-        assert_eq!(t.class_len(PhaseClass::InFlight), 1);
+        assert_eq!(t.iter_class(PhaseClass::Pending).count(), 1);
+        assert_eq!(t.iter_class(PhaseClass::InFlight).count(), 1);
         t.set_class(RequestId(0), PhaseClass::DecodeReady);
         t.set_class(RequestId(1), PhaseClass::Done);
-        assert_eq!(t.class_len(PhaseClass::Pending), 0);
+        assert_eq!(t.iter_class(PhaseClass::Pending).count(), 0);
         assert_eq!(
             t.iter_class(PhaseClass::DecodeReady).collect::<Vec<_>>(),
             vec![RequestId(0)]
@@ -364,8 +359,8 @@ mod tests {
         // E.g. a request rejected before its arrival event fires.
         t.set_class(RequestId(0), PhaseClass::Done);
         t.admit(RequestId(0));
-        assert_eq!(t.class_len(PhaseClass::Pending), 0);
-        assert_eq!(t.class_len(PhaseClass::Done), 1);
+        assert_eq!(t.iter_class(PhaseClass::Pending).count(), 0);
+        assert_eq!(t.iter_class(PhaseClass::Done).count(), 1);
         assert!(t.check_invariants().is_ok());
     }
 

@@ -166,9 +166,14 @@ mod tests {
 
     #[test]
     fn shed_ranks_order_best_effort_first_and_scales_loosen() {
-        let all = TrafficClass::all();
-        assert_eq!(all[0], TrafficClass::BestEffort);
-        assert!(all.windows(2).all(|w| w[0].shed_rank() < w[1].shed_rank()));
+        assert_eq!(
+            TrafficClass::all(),
+            [
+                TrafficClass::BestEffort,
+                TrafficClass::Standard,
+                TrafficClass::Interactive
+            ]
+        );
         assert!(TrafficClass::Interactive.slo_scale() < TrafficClass::Standard.slo_scale());
         assert!(TrafficClass::Standard.slo_scale() < TrafficClass::BestEffort.slo_scale());
         assert_eq!(TrafficClass::BestEffort.label(), "best-effort");
