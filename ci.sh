@@ -145,6 +145,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --locked \
 step "cargo clippy --all-targets --locked -- -D warnings"
 cargo clippy --all-targets --locked -- -D warnings
 
+# perfbench/ is a package of its own, outside the workspace: lint it against
+# the crate API too, so a cleanup in crates/ that leaves it with warnings
+# (an unused import, a needless `mut`) fails here instead of passing.
+step "cargo clippy --manifest-path perfbench/Cargo.toml --all-targets --locked -- -D warnings"
+cargo clippy --locked --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
+
 step "cargo fmt --check"
 cargo fmt --check
 
