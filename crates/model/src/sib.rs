@@ -11,8 +11,8 @@
 //! the roofline substrate (optionally perturbed with measurement noise) and
 //! only what is fitted or derived from them is kept, preserving the
 //! workflow: profile once, fit, and consult cheap fitted models at
-//! scheduling time. Lookups are keyed by [`ParallelConfig`] itself, so the
-//! scheduler's hot path hashes two integers rather than formatting a label.
+//! scheduling time. Lookups are keyed by [`ParallelConfig`] itself: the
+//! scheduler consults them on its hot path, so a lookup allocates nothing.
 
 use crate::analytical::{AnalyticalModel, BatchFeatures};
 use crate::config::ModelConfig;

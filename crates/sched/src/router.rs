@@ -475,6 +475,7 @@ mod tests {
     }
 }
 
+// One test module per policy.
 #[cfg(test)]
 mod passthrough {
     mod tests {
